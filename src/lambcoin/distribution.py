@@ -5,7 +5,9 @@ rationals that sum to exactly 1. Terms that are alpha-equal merge on
 construction, so equality of distributions is plain support-and-probability
 equality. The canonical text format is
 `{ p1: term1 ; p2: term2 ; ... }` with the support sorted by its
-pretty-printed rendering.
+pretty-printed rendering. That canonical order is produced on first ordered
+access (`items`, `support`, formatting): a distribution sorts its support
+once, in place, and equality and hashing never depend on it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class InvalidChoice(Exception):
 class Distribution:
     """Immutable exact distribution; usable as a dict key or set element."""
 
-    __slots__ = ("_support", "_hash")
+    __slots__ = ("_support", "_hash", "_sorted")
 
     def __init__(self, entries: Mapping[Term, Fraction] | Iterable[tuple[Term, Fraction]]):
         if isinstance(entries, Mapping):
@@ -41,15 +43,35 @@ class Distribution:
                 raise WeightError(f"non-positive probability {prob} for {pretty(term)}")
         if sum(merged.values()) != 1:
             raise WeightError(f"probabilities sum to {sum(merged.values())}, not 1")
-        self._support = dict(sorted(merged.items(), key=lambda kv: pretty(kv[0])))
-        self._hash = hash(frozenset(self._support.items()))
+        self._adopt(merged)
+
+    @classmethod
+    def _trusted(cls, support: dict[Term, Fraction]) -> Distribution:
+        """A distribution over `support`, whose probabilities the caller has
+        already made positive and of total mass exactly 1."""
+        d = cls.__new__(cls)
+        d._adopt(support)
+        return d
+
+    def _adopt(self, support: dict[Term, Fraction]) -> None:
+        self._support = support
+        self._sorted = False
+        self._hash = hash(frozenset(support.items()))
+
+    def _ordered(self) -> dict[Term, Fraction]:
+        """The support in canonical order, sorted on the first call."""
+        if not self._sorted:
+            self._support = dict(sorted(self._support.items(),
+                                        key=lambda kv: pretty(kv[0])))
+            self._sorted = True
+        return self._support
 
     def items(self) -> Iterator[tuple[Term, Fraction]]:
-        return iter(self._support.items())
+        return iter(self._ordered().items())
 
     @property
     def support(self) -> tuple[Term, ...]:
-        return tuple(self._support)
+        return tuple(self._ordered())
 
     def probability(self, t: Term) -> Fraction:
         return self._support.get(t, Fraction(0))
@@ -88,9 +110,9 @@ def combine(parts: Iterable[tuple[Fraction, Distribution]]) -> Distribution:
         raise WeightError("combination weights must sum to 1")
     acc: dict[Term, Fraction] = {}
     for weight, dist in parts:
-        for term, prob in dist.items():
-            acc[term] = acc.get(term, Fraction(0)) + weight * prob
-    return Distribution(acc)
+        for term, prob in dist._support.items():
+            acc[term] = acc.get(term, 0) + weight * prob
+    return Distribution._trusted(acc)
 
 
 def dist_eq(d1: Distribution, d2: Distribution) -> bool:
@@ -116,7 +138,7 @@ def lift_step(d: Distribution, choice: Mapping[Term, Position],
         if is_normal(term, variant):
             if term in choice:
                 raise InvalidChoice(f"{pretty(term)} is normal, nothing to fire")
-            acc[term] = acc.get(term, Fraction(0)) + prob
+            acc[term] = acc.get(term, 0) + prob
             continue
         if term not in choice:
             raise InvalidChoice(f"no redex chosen for {pretty(term)}")
@@ -125,8 +147,8 @@ def lift_step(d: Distribution, choice: Mapping[Term, Position],
         except NotARedex as exc:
             raise InvalidChoice(str(exc)) from exc
         for q, result in outcome.outcomes:
-            acc[result] = acc.get(result, Fraction(0)) + prob * q
-    return Distribution(acc)
+            acc[result] = acc.get(result, 0) + prob * q
+    return Distribution._trusted(acc)
 
 
 def format_distribution(d: Distribution) -> str:

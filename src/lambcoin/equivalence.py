@@ -129,9 +129,14 @@ def enum_contexts(ty: Type, size_bound: int) -> list[EliminationContext]:
     return [EliminationContext(args, ty) for args in itertools.product(*pools)]
 
 
-def plug(context: EliminationContext, t: Term) -> Term:
-    """Apply `t` to the context's arguments; `t` must have the target type."""
-    typecheck({}, t, Discipline.SIMPLE, goal=context.target_type)
+def plug(context: EliminationContext, t: Term, *, check: bool = True) -> Term:
+    """Apply `t` to the context's arguments; `t` must have the target type.
+
+    `check=False` skips typechecking `t`, for a caller that has already
+    checked it against the target type.
+    """
+    if check:
+        typecheck({}, t, Discipline.SIMPLE, goal=context.target_type)
     result = t
     for arg in context.args:
         result = App(result, arg)
@@ -173,7 +178,7 @@ def _context_value(d: Distribution, context: EliminationContext,
                    fuel: int) -> Distribution:
     parts = []
     for term, prob in d.items():
-        plugged = plug(context, term)
+        plugged = plug(context, term, check=False)  # comp_equiv checked it
         parts.append((prob, _evaluate_plugged(plugged, explorer, context,
                                               single_path, fuel)))
     return combine(parts)

@@ -150,14 +150,21 @@ class App:
     arg: Term
 
 
+# The field-less constants would all share the generated hash `hash(())`, so
+# terms differing only in their constants would collide. Each constant has a
+# fixed hash of its own instead: a fixed int, unlike a salted `hash("...")`,
+# gives the same hash order in every process.
+
 @dataclass(frozen=True, slots=True)
 class Zero:
-    pass
+    def __hash__(self) -> int:
+        return 0x5A3E0001
 
 
 @dataclass(frozen=True, slots=True)
 class One:
-    pass
+    def __hash__(self) -> int:
+        return 0x5A3E0002
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +176,8 @@ class If:
 
 @dataclass(frozen=True, slots=True)
 class Coin:
-    pass
+    def __hash__(self) -> int:
+        return 0x5A3E0003
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,14 +279,56 @@ def substitute(t: Term, name: str, r: Term) -> Term:
             return t
 
 
+def _has_loose(t: Term, depth: int) -> bool:
+    """Whether `t` has an index that points past its `depth` innermost binders."""
+    match t:
+        case Var(k):
+            return k >= depth
+        case Lam(body):
+            return _has_loose(body, depth + 1)
+        case App(fun, arg):
+            return _has_loose(fun, depth) or _has_loose(arg, depth)
+        case If(cond, then, orelse):
+            return (_has_loose(cond, depth) or _has_loose(then, depth)
+                    or _has_loose(orelse, depth))
+        case Oplus(_, left, right):
+            return _has_loose(left, depth) or _has_loose(right, depth)
+        case _:
+            return False
+
+
+def _shift(t: Term, by: int, cutoff: int = 0) -> Term:
+    """Raise by `by` every index of `t` that points past `cutoff` binders."""
+    match t:
+        case Var(k):
+            return Var(k + by, t.hint) if k >= cutoff else t
+        case Lam(body, hint):
+            return Lam(_shift(body, by, cutoff + 1), hint)
+        case App(fun, arg):
+            return App(_shift(fun, by, cutoff), _shift(arg, by, cutoff))
+        case If(cond, then, orelse):
+            return If(_shift(cond, by, cutoff), _shift(then, by, cutoff),
+                      _shift(orelse, by, cutoff))
+        case Oplus(p, left, right):
+            return Oplus(p, _shift(left, by, cutoff), _shift(right, by, cutoff))
+        case _:
+            return t
+
+
 def instantiate(body: Term, r: Term) -> Term:
-    """Replace the outermost binder's variable in a `Lam` body with `r`."""
+    """Replace the outermost binder's variable in a `Lam` body with `r`.
+
+    A copy of `r` placed under binders of `body` has its loose indices raised
+    past them, so they keep pointing outside the redex. A closed `r` is
+    placed as it is.
+    """
+    closed = not _has_loose(r, 0)
 
     def go(t: Term, depth: int) -> Term:
         match t:
             case Var(k):
                 if k == depth:
-                    return r
+                    return r if closed else _shift(r, depth)
                 if k > depth:
                     return Var(k - 1, t.hint)
                 return t

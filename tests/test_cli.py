@@ -95,6 +95,19 @@ def test_computational_confluence():
     assert "hypothesis not met" in refused.stderr
 
 
+def test_open_beta_argument_is_shifted():
+    # The inner beta substitutes v1 under \v3, where it must still name v1.
+    term = "(\\v1. (\\v2. \\v3. v2) v1) (\\v4. 0)"
+    endpoint = "{ 1: \\x0. \\x1. 0 }"
+    explored = run("explore", term)
+    assert explored.returncode == 0
+    assert explored.stdout.splitlines() == [endpoint]
+    cbv = run("reduce", "--strategy", "cbv", term)
+    assert cbv.returncode == 0
+    assert cbv.stdout.splitlines()[-1] == endpoint
+    assert run("computational-confluence", term).returncode == 0
+
+
 def test_equiv_on_distribution_files(tmp_path: Path):
     left = tmp_path / "left.dist"
     left.write_text(FIG1_LEFT + "\n")

@@ -146,6 +146,29 @@ def test_format_canonical_order_and_values():
     assert format_distribution(dirac(parse("0"))) == "{ 1: 0 }"
 
 
+def test_construction_order_never_shows():
+    # Figure 1's uniform endpoint, built four ways, each meeting its support
+    # in another order.
+    cells = [parse(f"\\y. y {a} {b}") for a in (0, 1) for b in (0, 1)]
+    by_combine = combine([
+        (HALF, Distribution([(cells[3], HALF), (cells[2], HALF)])),
+        (HALF, Distribution([(cells[1], HALF), (cells[0], HALF)])),
+    ])
+    half_done = Distribution([(parse("\\y. y 1 coin"), HALF),
+                              (parse("\\y. y 0 coin"), HALF)])
+    by_lift = lift_step(half_done, {t: ("body", "arg") for t in half_done.support})
+    reversed_entries = Distribution([(t, QUARTER) for t in reversed(cells)])
+    by_text = parse_distribution(format_distribution(reversed_entries))
+    built = [by_combine, by_lift, reversed_entries, by_text]
+    for d in built:
+        assert d == by_combine and hash(d) == hash(by_combine)
+        assert d.support == tuple(cells)
+        assert list(d.items()) == [(t, QUARTER) for t in cells]
+        assert format_distribution(d) == (
+            "{ 1/4: \\x0. x0 0 0 ; 1/4: \\x0. x0 0 1 ; "
+            "1/4: \\x0. x0 1 0 ; 1/4: \\x0. x0 1 1 }")
+
+
 def test_parse_distribution_roundtrip():
     d = Distribution([(parse("\\y. y 1 1"), QUARTER),
                       (parse("\\y. y 0 0"), Fraction(3, 4))])

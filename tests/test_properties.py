@@ -2,7 +2,7 @@
 
 from random import Random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lambcoin import (
     App, Arrow, BOOL, CalculusVariant, Discipline, FreeVar, If, Oplus,
@@ -69,6 +69,7 @@ def test_affine_substitution_zero_occurrence(seed):
 
 
 @given(seeds)
+@example(4335)  # its term needs a shifted beta argument
 @settings(max_examples=100, deadline=None)
 def test_affine_terms_probabilistically_confluent(seed):
     rng = Random(seed)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambcoin import (
-    App, Coin, FreeVar, Lam, One, Oplus, ParseError, ScopeError, Var,
-    VariantError, Zero, CalculusVariant, abstract, alpha_eq,
+    App, COIN, Coin, FreeVar, Lam, ONE, One, Oplus, ParseError, ScopeError,
+    Var, VariantError, ZERO, Zero, CalculusVariant, abstract, alpha_eq,
     count_occurrences, free_vars, instantiate, parse, parse_type, pretty,
     substitute, term_size, Arrow, BOOL, format_type,
 )
@@ -136,12 +136,22 @@ def test_instantiate_beta_body():
     lam = parse("\\x. \\y. y x x")
     body = instantiate(lam.body, Coin())
     assert body == parse("\\y. y coin coin")
+    # An argument with a loose index is shifted past the binders it goes under.
+    assert instantiate(parse("\\v2. \\v3. v2").body, Var(0)) == Lam(Var(1))
 
 
 def test_abstract_inverts_instantiate():
     t = parse("\\y. y x x")
     lam = abstract(t, "x")
     assert instantiate(lam.body, FreeVar("x")) == t
+
+
+def test_constants_hash_apart():
+    assert len({hash(ZERO), hash(ONE), hash(COIN)}) == 3
+    constants = ("0", "1", "coin")
+    terms = [parse(f"\\y. y {a} {b} {c}")
+             for a in constants for b in constants for c in constants]
+    assert len({hash(t) for t in terms}) == 27
 
 
 def test_alpha_eq_examples():
