@@ -265,6 +265,17 @@ def cmd_demo(args) -> int:
     return EXIT_OK if equivalent in (None, True) else EXIT_NEGATIVE
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1, for the fuel and size-bound settings."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
 def build_parser(default_fuel: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lambcoin",
@@ -276,7 +287,7 @@ def build_parser(default_fuel: int) -> argparse.ArgumentParser:
             p.add_argument("input", help="term (inline, file path, or - for stdin)")
         p.add_argument("--calculus", choices=["plain", "internal"],
                        default="plain")
-        p.add_argument("--fuel", type=int, default=default_fuel)
+        p.add_argument("--fuel", type=_positive_int, default=default_fuel)
         p.add_argument("--format", choices=["human", "structured"],
                        default="human")
 
@@ -309,7 +320,7 @@ def build_parser(default_fuel: int) -> argparse.ArgumentParser:
     p.add_argument("right", help="distribution (inline, file path, or -)")
     common(p, with_input=False)
     p.add_argument("--type", required=True, help="type of the support terms")
-    p.add_argument("--size-bound", type=int, default=6)
+    p.add_argument("--size-bound", type=_positive_int, default=6)
     p.add_argument("--single-path", action="store_true",
                    help="evaluate plugged terms by call-by-value only")
     p.set_defaults(run=cmd_equiv)
@@ -317,13 +328,13 @@ def build_parser(default_fuel: int) -> argparse.ArgumentParser:
     p = sub.add_parser("computational-confluence",
                        help="check all endpoints pairwise equivalent")
     common(p)
-    p.add_argument("--size-bound", type=int, default=6)
+    p.add_argument("--size-bound", type=_positive_int, default=6)
     p.add_argument("--single-path", action="store_true")
     p.set_defaults(run=cmd_computational_confluence)
 
     p = sub.add_parser("demo", help="built-in scenarios")
     p.add_argument("name", choices=sorted(DEMO_TERMS))
-    p.add_argument("--fuel", type=int, default=default_fuel)
+    p.add_argument("--fuel", type=_positive_int, default=default_fuel)
     p.add_argument("--format", choices=["human", "structured"],
                    default="human")
     p.set_defaults(run=cmd_demo)
@@ -332,7 +343,11 @@ def build_parser(default_fuel: int) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    default_fuel = int(os.environ.get("LAMBCOIN_FUEL", DEFAULT_FUEL))
+    try:
+        default_fuel = _positive_int(os.environ.get("LAMBCOIN_FUEL", str(DEFAULT_FUEL)))
+    except argparse.ArgumentTypeError as exc:
+        print(f"lambcoin: error: LAMBCOIN_FUEL: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser(default_fuel)
     args = parser.parse_args(argv)
     try:

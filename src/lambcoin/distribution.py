@@ -171,5 +171,9 @@ def parse_distribution(text: str,
         prob_text, _, term_text = item.partition(":")
         if not term_text:
             raise WeightError(f"missing ':' in distribution entry {item!r}")
-        entries.append((parse(term_text.strip(), variant), Fraction(prob_text.strip())))
+        try:
+            prob = Fraction(prob_text.strip())
+        except (ValueError, ZeroDivisionError):
+            raise WeightError(f"bad probability {prob_text.strip()!r}") from None
+        entries.append((parse(term_text.strip(), variant), prob))
     return Distribution(entries)

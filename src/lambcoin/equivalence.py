@@ -59,11 +59,30 @@ def format_context(context: EliminationContext) -> str:
 # ---------------------------------------------------------------------------
 # Enumeration of normal closed terms
 
-_enum_cache: dict[tuple[str, int, int], tuple[Term, ...]] = {}
+# Keys: ("n", size, depth) and ("a", size, depth) for the normal and neutral
+# terms of `size` nodes with `depth` binders in scope, and ("c", size, ty)
+# for the closed ones of type `ty`, sorted by `pretty`.
+_enum_cache: dict[tuple, tuple[Term, ...]] = {}
 
+
+def _typable(t: Term, depth: int) -> bool:
+    """Whether `t` is simply typable with a fresh type variable for each of
+    the `depth` binders in scope."""
+    for _ in range(depth):
+        t = Lam(t)
+    try:
+        typecheck({}, t, Discipline.SIMPLE)
+    except TypingError:
+        return False
+    return True
+
+
+# Both enumerations keep only simply typable terms. Every subterm of a
+# typable term is typable, so no typable term loses a part it needs.
 
 def _normal_of_size(size: int, depth: int) -> tuple[Term, ...]:
-    """All normal terms of exactly `size` nodes with `depth` binders in scope."""
+    """The typable normal terms of exactly `size` nodes with `depth` binders
+    in scope."""
     key = ("n", size, depth)
     if key not in _enum_cache:
         results = list(_neutral_of_size(size, depth))
@@ -74,7 +93,8 @@ def _normal_of_size(size: int, depth: int) -> tuple[Term, ...]:
 
 
 def _neutral_of_size(size: int, depth: int) -> tuple[Term, ...]:
-    """Normal terms that are not abstractions (safe heads for applications)."""
+    """Typable normal terms that are not abstractions (safe heads for
+    applications)."""
     key = ("a", size, depth)
     if key not in _enum_cache:
         results: list[Term] = []
@@ -96,23 +116,29 @@ def _neutral_of_size(size: int, depth: int) -> tuple[Term, ...]:
                         for then in _normal_of_size(then_size, depth):
                             for orelse in _normal_of_size(else_size, depth):
                                 results.append(If(cond, then, orelse))
-        _enum_cache[key] = tuple(results)
+        _enum_cache[key] = tuple(t for t in results if _typable(t, depth))
     return _enum_cache[key]
 
 
-def enum_normal_closed(ty: Type, size_bound: int) -> list[Term]:
-    """All closed normal terms of simple type `ty` with at most `size_bound` nodes."""
-    found = []
-    for size in range(1, size_bound + 1):
-        of_size = []
+def _closed_of_size(ty: Type, size: int) -> tuple[Term, ...]:
+    """The closed normal terms of type `ty` and `size` nodes, by `pretty`."""
+    key = ("c", size, ty)
+    if key not in _enum_cache:
+        found = []
         for term in _normal_of_size(size, 0):
             try:
                 typecheck({}, term, Discipline.SIMPLE, goal=ty)
             except TypingError:
                 continue
-            of_size.append(term)
-        found.extend(sorted(of_size, key=pretty))
-    return found
+            found.append(term)
+        _enum_cache[key] = tuple(sorted(found, key=pretty))
+    return _enum_cache[key]
+
+
+def enum_normal_closed(ty: Type, size_bound: int) -> list[Term]:
+    """All closed normal terms of simple type `ty` with at most `size_bound` nodes."""
+    return [term for size in range(1, size_bound + 1)
+            for term in _closed_of_size(ty, size)]
 
 
 def _argument_types(ty: Type) -> list[Type]:

@@ -90,11 +90,14 @@ class Explorer:
         if not result:
             raise DivergenceError(
                 "no terminating reduction path found", self.stats)
+        if len(result) > 1:
+            result = tuple(sorted(result, key=format_distribution))
         return result
 
     def _explore(self, t: Term, on_stack: frozenset[Term],
                  depth: int) -> tuple[tuple[Distribution, ...], bool]:
-        """Returns the reachable final distributions and a cycle flag.
+        """Returns the reachable final distributions, unordered, and a cycle
+        flag.
 
         A result that involved pruning a path back to a term still being
         explored is marked cyclic and never memoized, so the cache stays
@@ -125,10 +128,10 @@ class Explorer:
             probs = [p for p, _ in outcome.outcomes]
             for picks in itertools.product(*continuations):
                 results.add(combine(list(zip(probs, picks))))
-        ordered = tuple(sorted(results, key=format_distribution))
+        found = tuple(results)
         if self.memoize and not cyclic:
-            self._memo[t] = ordered
-        return ordered, cyclic
+            self._memo[t] = found
+        return found, cyclic
 
 
 def normal_form_distributions(t: Term,

@@ -119,16 +119,34 @@ def parse_type(text: str) -> Type:
 # ---------------------------------------------------------------------------
 # Terms
 
+# Each compound node computes its hash once, when it is built, from its
+# compared fields and its children's stored hashes, so hashing a term never
+# recurses (Filliatre & Conchon, "Type-Safe Modular Hash-Consing", 2006).
+# The hash lives in `_hash`, which is neither an init field nor compared.
+# Every tag and constant hash is a fixed int, unlike a salted `hash("...")`,
+# so a term without free names hashes the same in every process.
+
+def _stored_hash(self) -> int:
+    return self._hash
+
+
+def _set_hash(node: Term, *key: object) -> None:
+    object.__setattr__(node, "_hash", hash(key))
+
+
 @dataclass(frozen=True, slots=True)
 class Var:
     """Bound variable as a de Bruijn index (0 = innermost binder)."""
 
     index: int
     hint: str | None = field(default=None, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("negative de Bruijn index")
+        _set_hash(self, 1, self.index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,35 +154,49 @@ class FreeVar:
     """Free variable, identified by name (a context reference)."""
 
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        _set_hash(self, 2, self.name)
 
 
 @dataclass(frozen=True, slots=True)
 class Lam:
     body: Term
     hint: str | None = field(default=None, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        _set_hash(self, 3, self.body._hash)
 
 
 @dataclass(frozen=True, slots=True)
 class App:
     fun: Term
     arg: Term
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        _set_hash(self, 4, self.fun._hash, self.arg._hash)
 
 
-# The field-less constants would all share the generated hash `hash(())`, so
-# terms differing only in their constants would collide. Each constant has a
-# fixed hash of its own instead: a fixed int, unlike a salted `hash("...")`,
-# gives the same hash order in every process.
+# The field-less constants keep a class-level `_hash`: the generated hash
+# would be `hash(())` for all three, and terms differing only in their
+# constants would collide.
 
 @dataclass(frozen=True, slots=True)
 class Zero:
-    def __hash__(self) -> int:
-        return 0x5A3E0001
+    _hash = 0x5A3E0001
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
 class One:
-    def __hash__(self) -> int:
-        return 0x5A3E0002
+    _hash = 0x5A3E0002
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,12 +204,17 @@ class If:
     cond: Term
     then: Term
     orelse: Term
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        _set_hash(self, 5, self.cond._hash, self.then._hash, self.orelse._hash)
 
 
 @dataclass(frozen=True, slots=True)
 class Coin:
-    def __hash__(self) -> int:
-        return 0x5A3E0003
+    _hash = 0x5A3E0003
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,10 +224,13 @@ class Oplus:
     prob: Fraction
     left: Term
     right: Term
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _stored_hash
 
     def __post_init__(self) -> None:
         if not (0 < self.prob < 1):
             raise ValueError(f"choice probability must be in (0, 1): {self.prob}")
+        _set_hash(self, 6, self.prob, self.left._hash, self.right._hash)
 
 
 Term = Var | FreeVar | Lam | App | Zero | One | If | Coin | Oplus

@@ -187,6 +187,29 @@ def test_fuel_env_var_and_flag():
     assert result.returncode == 0
 
 
+def test_bad_probabilities_are_distribution_errors():
+    for bad in ("{ abc: 0 }", "{ 1/0: 0 }"):
+        result = run("equiv", bad, "{ 1: 0 }", "--type", "B")
+        assert result.returncode == 2
+        assert "distribution error" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_bad_fuel_and_size_bound_are_usage_errors():
+    import os
+    for value in ("0", "-3", "abc", "1.5"):
+        for flags in (("explore", FIG1, "--fuel", value),
+                      ("equiv", FIG1_LEFT, FIG1_LEFT, "--type", "B",
+                       "--size-bound", value)):
+            result = run(*flags)
+            assert result.returncode == 2, flags
+            assert "Traceback" not in result.stderr
+        result = run("explore", FIG1, env=dict(os.environ, LAMBCOIN_FUEL=value))
+        assert result.returncode == 2, value
+        assert "LAMBCOIN_FUEL" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_strategy_flag_only_on_reduce():
     result = run("explore", "--strategy", "cbv", FIG1)
     assert result.returncode == 2

@@ -11,6 +11,7 @@ from lambcoin import (
     enum_contexts, enum_normal_closed, format_context, is_normal,
     normal_form_distributions, parse, parse_type, plug, typecheck,
 )
+from lambcoin.equivalence import _enum_cache
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -70,11 +71,32 @@ def test_enum_bool_to_bool_contains_basics():
 
 
 @pytest.mark.parametrize("ty_text,bound", [
-    ("B", 5), ("B -> B", 5), ("B -> B -> B", 6),
+    ("B", 5), ("B -> B", 5), ("B -> B -> B", 6), ("(B -> B) -> B", 7),
+    ("B -> B -> B", 8),
 ])
 def test_enum_matches_bruteforce_oracle(ty_text, bound):
     ty = parse_type(ty_text)
     assert set(enum_normal_closed(ty, bound)) == _oracle_normal_closed(ty, bound)
+
+
+def test_enum_cache_holds_only_typable_terms():
+    for ty_text in ("B -> B -> B", "(B -> B) -> B"):
+        enum_normal_closed(parse_type(ty_text), 7)
+    for key, terms in _enum_cache.items():
+        depth = key[2] if key[0] in ("n", "a") else 0
+        for term in terms:
+            closed = term
+            for _ in range(depth):
+                closed = Lam(closed)
+            typecheck({}, closed, Discipline.SIMPLE)
+
+
+def test_enum_returns_a_fresh_list():
+    ty = parse_type("B -> B")
+    first = enum_normal_closed(ty, 4)
+    expected = list(first)
+    first.clear()
+    assert enum_normal_closed(ty, 4) == expected
 
 
 def test_enum_is_deterministic_and_size_sorted():

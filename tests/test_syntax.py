@@ -9,7 +9,7 @@ from lambcoin import (
     App, COIN, Coin, FreeVar, Lam, ONE, One, Oplus, ParseError, ScopeError,
     Var, VariantError, ZERO, Zero, CalculusVariant, abstract, alpha_eq,
     count_occurrences, free_vars, instantiate, parse, parse_type, pretty,
-    substitute, term_size, Arrow, BOOL, format_type,
+    replace_at, substitute, term_size, Arrow, BOOL, format_type,
 )
 from fractions import Fraction
 
@@ -152,6 +152,34 @@ def test_constants_hash_apart():
     terms = [parse(f"\\y. y {a} {b} {c}")
              for a in constants for b in constants for c in constants]
     assert len({hash(t) for t in terms}) == 27
+
+
+def test_equal_terms_hash_equal_however_built():
+    # The same term built by the parser, by beta instantiation and by
+    # replacing a subterm, each with its own nodes.
+    target = parse("\\y. y coin (\\z. z) 0")
+    by_instantiate = instantiate(parse("\\x. \\y. y x (\\z. z) 0").body, COIN)
+    by_replace = replace_at(parse("\\y. y 1 (\\z. z) 0"), ("body", "fun", "fun", "arg"),
+                            COIN)
+    for built in (by_instantiate, by_replace):
+        assert built == target and built is not target
+        assert hash(built) == hash(target)
+
+
+def test_hints_take_no_part_in_equality_or_hash():
+    a = Lam(App(Var(0, "a"), Lam(Var(1, "a"), "b")), "a")
+    b = Lam(App(Var(0, "p"), Lam(Var(1), None)), "q")
+    assert a == b and hash(a) == hash(b)
+    assert parse("\\x. \\y. y x") == parse("\\u. \\v. v u")
+    assert hash(parse("\\x. \\y. y x")) == hash(parse("\\u. \\v. v u"))
+
+
+def test_choice_probability_is_compared():
+    third = Oplus(Fraction(1, 3), ZERO, ONE)
+    half = Oplus(Fraction(1, 2), ZERO, ONE)
+    assert third != half
+    assert third == Oplus(Fraction(2, 6), ZERO, ONE)
+    assert hash(third) == hash(Oplus(Fraction(2, 6), ZERO, ONE))
 
 
 def test_alpha_eq_examples():
