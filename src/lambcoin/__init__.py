@@ -10,8 +10,9 @@ procedure for computational equivalence of distributions.
 from .syntax import (
     App, Arrow, BOOL, Bool, CalculusVariant, Coin, COIN, FreeVar, If, Lam,
     One, ONE, Oplus, ParseError, ScopeError, Term, Type, Var, VariantError,
-    Zero, ZERO, abstract, alpha_eq, count_occurrences, format_type,
-    free_vars, instantiate, parse, parse_type, pretty, substitute, term_size,
+    Zero, ZERO, abstract, alpha_eq, coin_free, count_occurrences,
+    format_type, free_vars, instantiate, parse, parse_type, pretty,
+    substitute, term_size,
 )
 from .typecheck import (
     AffinityViolation, Discipline, NonBoolCondition, NonFunctionApplied,
@@ -30,7 +31,7 @@ from .distribution import (
 from .explore import (
     DEFAULT_FUEL, DivergenceError, ExplorationResult, ExplorationStats,
     Explorer, FuelExhausted, Trace, TraceStep, check_probabilistic_confluence,
-    normal_form_distributions, reduce_with_strategy,
+    normal_form_distributions, normalize, reduce_with_strategy,
 )
 from .equivalence import (
     ConfluenceReport, ContextCheck, EliminationContext, EquivVerdict,

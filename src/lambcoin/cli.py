@@ -4,7 +4,8 @@ Input arguments are a file path if one exists with that name, `-` for
 standard input, and an inline term (or distribution) otherwise. Exit codes:
 0 success / confluent / equivalent, 1 negative verdict or type error,
 2 usage or parse error, 3 fuel exhausted, 4 ambiguous plugged term,
-5 hypothesis of the computational-confluence check not met.
+5 hypothesis of the computational-confluence check not met, 6 input nested
+too deeply for the recursive term walks.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_USAGE = 2
 EXIT_FUEL = 3
 EXIT_AMBIGUOUS_PLUG = 4
 EXIT_HYPOTHESIS = 5
+EXIT_TOO_DEEP = 6
 
 DEMO_TERMS = {
     "figure1": "(\\x. \\y. y x x) coin",
@@ -322,7 +324,8 @@ def build_parser(default_fuel: int) -> argparse.ArgumentParser:
     p.add_argument("--type", required=True, help="type of the support terms")
     p.add_argument("--size-bound", type=_positive_int, default=6)
     p.add_argument("--single-path", action="store_true",
-                   help="evaluate plugged terms by call-by-value only")
+                   help="evaluate plugs of support terms that hold a coin "
+                        "by call-by-value only")
     p.set_defaults(run=cmd_equiv)
 
     p = sub.add_parser("computational-confluence",
@@ -370,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except TypingError as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_TOO_DEEP
 
 
 if __name__ == "__main__":

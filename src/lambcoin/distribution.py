@@ -93,7 +93,7 @@ class Distribution:
 
 def dirac(t: Term) -> Distribution:
     """Single-point distribution."""
-    return Distribution(((t, Fraction(1)),))
+    return Distribution._trusted({t: Fraction(1)})
 
 
 def outcome_dist(outcome: StepOutcome) -> Distribution:

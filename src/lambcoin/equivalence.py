@@ -5,18 +5,27 @@ when every applicative elimination context drives both to the same exact
 distribution of boolean results. Context arguments are enumerated by brute
 force up to a size bound: for first-order argument types the bounded set is
 already complete (the only closed normal booleans are 0 and 1).
+
+A plugged term is simply typed, so it normalizes. When its support term is
+coin-free, so is the plug, and its one normal form is computed by
+`normalize`. Only a plug whose support term holds a coin is explored
+exhaustively (or, with `single_path`, reduced by call-by-value).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .distribution import Distribution, combine, dist_eq
-from .explore import DEFAULT_FUEL, Explorer, Trace, reduce_with_strategy
+from .distribution import Distribution, combine, dirac, dist_eq
+from .explore import (
+    DEFAULT_FUEL, Explorer, Trace, normalize, reduce_with_strategy,
+)
 from .rewrite import Strategy
 from .syntax import (
-    App, Arrow, If, Lam, ONE, Term, Type, Var, ZERO, free_vars, pretty,
+    App, Arrow, If, Lam, ONE, Term, Type, Var, ZERO, coin_free, free_vars,
+    pretty,
 )
 from .typecheck import Discipline, TypingError, TypeMismatch, typecheck
 
@@ -199,14 +208,20 @@ def _evaluate_plugged(term: Term, explorer: Explorer, context: EliminationContex
     return finals[0]
 
 
-def _context_value(d: Distribution, context: EliminationContext,
-                   explorer: Explorer, single_path: bool,
-                   fuel: int) -> Distribution:
+def _context_value(support: list[tuple[Term, Fraction, bool]],
+                   context: EliminationContext, explorer: Explorer,
+                   single_path: bool, fuel: int) -> Distribution:
+    """The result distribution of `context` over (term, probability,
+    coin-free) triples."""
     parts = []
-    for term, prob in d.items():
+    for term, prob, pure in support:
         plugged = plug(context, term, check=False)  # comp_equiv checked it
-        parts.append((prob, _evaluate_plugged(plugged, explorer, context,
-                                              single_path, fuel)))
+        if pure:
+            value = dirac(normalize(plugged, explorer))
+        else:
+            value = _evaluate_plugged(plugged, explorer, context, single_path,
+                                      fuel)
+        parts.append((prob, value))
     return combine(parts)
 
 
@@ -215,10 +230,13 @@ def comp_equiv(d1: Distribution, d2: Distribution, ty: Type,
                single_path: bool = False) -> EquivVerdict:
     """Decide computational equivalence of `d1` and `d2` at type `ty`.
 
-    Every support term must be closed of type `ty`. Each plugged term is
-    evaluated by exhaustive exploration and must have a unique normal-form
-    distribution; `single_path` downgrades to call-by-value evaluation
-    instead of rejecting ambiguous plugs.
+    Every support term must be closed of type `ty`. A plug of a coin-free
+    support term has one normal form, which `normalize` computes. A plug of a
+    support term that holds a coin is evaluated by exhaustive exploration and
+    must have a unique normal-form distribution; `single_path` downgrades
+    those plugs to call-by-value evaluation instead of rejecting ambiguous
+    ones. One explorer, and so one fuel budget and one cache, serves every
+    plug of the call.
     """
     for d in (d1, d2):
         for term in d.support:
@@ -228,12 +246,17 @@ def comp_equiv(d1: Distribution, d2: Distribution, ty: Type,
                     f"support term {pretty(term)} is not closed "
                     f"(free: {', '.join(sorted(names))})")
             typecheck({}, term, Discipline.SIMPLE, goal=ty)
+    left_support, right_support = (
+        [(term, prob, coin_free(term)) for term, prob in d.items()]
+        for d in (d1, d2))
     explorer = Explorer(fuel=fuel)
     checks = []
     failing = None
     for context in enum_contexts(ty, size_bound):
-        left = _context_value(d1, context, explorer, single_path, fuel)
-        right = _context_value(d2, context, explorer, single_path, fuel)
+        left = _context_value(left_support, context, explorer, single_path,
+                              fuel)
+        right = _context_value(right_support, context, explorer, single_path,
+                               fuel)
         matches = dist_eq(left, right)
         checks.append(ContextCheck(context, left, right, matches))
         if not matches and failing is None:

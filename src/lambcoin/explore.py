@@ -10,6 +10,11 @@ of that step. Memoization keys the recursion on the (alpha-canonical) term.
 Reduction cycles (possible only for untypable input) contribute no
 normal-form distributions; if nothing terminating remains, the exploration
 reports divergence. A fuel bound on visited nodes guards the search.
+
+Without the coin the rules (beta and if-on-constant) are orthogonal, so a
+coin-free term has at most one normal form. `normalize` computes it
+directly, with no search, for coin-free strongly normalizing terms such as
+the simply typed ones.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from dataclasses import dataclass
 
 from .distribution import Distribution, combine, dirac, format_distribution, lift_step
 from .rewrite import Position, Strategy, is_normal, redexes, select_redex, step_at
-from .syntax import CalculusVariant, Term
+from .syntax import (
+    App, CalculusVariant, Coin, If, Lam, One, Oplus, Term, Zero, instantiate,
+)
 
 DEFAULT_FUEL = 1_000_000
 
@@ -69,7 +76,8 @@ class Trace:
 
 
 class Explorer:
-    """Reusable exploration state: one variant, one fuel budget, one memo table."""
+    """Reusable exploration state: one variant, one fuel budget, and one memo
+    table each for exploration and for `normalize`."""
 
     def __init__(self, variant: CalculusVariant = CalculusVariant.PLAIN,
                  fuel: int = DEFAULT_FUEL, memoize: bool = True):
@@ -77,6 +85,7 @@ class Explorer:
         self.fuel = fuel
         self.memoize = memoize
         self._memo: dict[Term, tuple[Distribution, ...]] = {}
+        self._normal_forms: dict[Term, Term] = {}
         self._nodes = 0
         self._max_depth = 0
 
@@ -133,6 +142,57 @@ class Explorer:
             self._memo[t] = found
         return found, cyclic
 
+    def _spend(self, depth: int) -> None:
+        self._nodes += 1
+        self._max_depth = max(self._max_depth, depth)
+        if self._nodes > self.fuel:
+            raise FuelExhausted("normalization fuel exhausted", self.stats)
+
+    def _normalize(self, t: Term, depth: int = 0) -> Term:
+        """The normal form of coin-free `t`, `depth` calls below the root;
+        see `normalize`."""
+        memo = self._normal_forms
+        below = depth + 1
+        chain = []  # the terms of one head-reduction sequence: one normal form
+        while True:
+            nf = memo.get(t)
+            if nf is not None:
+                break
+            chain.append(t)
+            match t:
+                case App(fun, arg):
+                    f = self._normalize(fun, below)
+                    a = self._normalize(arg, below)
+                    if isinstance(f, Lam):
+                        self._spend(depth)
+                        t = instantiate(f.body, a)
+                        continue
+                    nf = t if f is fun and a is arg else App(f, a)
+                case If(cond, then, orelse):
+                    c = self._normalize(cond, below)
+                    if isinstance(c, (Zero, One)):
+                        self._spend(depth)
+                        t = then if isinstance(c, One) else orelse
+                        continue
+                    then_nf = self._normalize(then, below)
+                    else_nf = self._normalize(orelse, below)
+                    same = c is cond and then_nf is then and else_nf is orelse
+                    nf = t if same else If(c, then_nf, else_nf)
+                case Lam(body, hint):
+                    body_nf = self._normalize(body, below)
+                    nf = t if body_nf is body else Lam(body_nf, hint)
+                case Coin() | Oplus():
+                    raise ValueError("normalize takes coin-free terms only")
+                case _:
+                    nf = t
+            if nf is not t:
+                self._spend(depth)
+                memo[nf] = nf
+            break
+        for u in chain:
+            memo[u] = nf
+        return nf
+
 
 def normal_form_distributions(t: Term,
                               variant: CalculusVariant = CalculusVariant.PLAIN,
@@ -140,6 +200,19 @@ def normal_form_distributions(t: Term,
                               memoize: bool = True) -> tuple[Distribution, ...]:
     """All distributions over normal forms reachable from `t`, canonically ordered."""
     return Explorer(variant, fuel, memoize).normal_form_distributions(t)
+
+
+def normalize(t: Term, explorer: Explorer | None = None) -> Term:
+    """The normal form of a coin-free, strongly normalizing term.
+
+    Children are normalized first and head redexes are contracted in a loop,
+    so the recursion depth follows the term's nesting, not the length of its
+    reduction. Normal forms are cached per (sub)term on `explorer`, and every
+    cache miss on a non-normal term spends one unit of its fuel. A coin or a
+    choice raises ValueError. On a term that is not strongly normalizing,
+    which only untyped input can be, the fuel or the recursion limit runs out.
+    """
+    return (explorer or Explorer())._normalize(t)
 
 
 def reduce_with_strategy(t: Term, strategy: Strategy,

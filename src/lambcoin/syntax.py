@@ -262,6 +262,21 @@ def free_vars(t: Term) -> frozenset[str]:
             return frozenset()
 
 
+def coin_free(t: Term) -> bool:
+    """Whether `t` holds neither a coin nor a choice."""
+    match t:
+        case Coin() | Oplus():
+            return False
+        case Lam(body):
+            return coin_free(body)
+        case App(fun, arg):
+            return coin_free(fun) and coin_free(arg)
+        case If(cond, then, orelse):
+            return coin_free(cond) and coin_free(then) and coin_free(orelse)
+        case _:
+            return True
+
+
 def count_occurrences(t: Term, name: str) -> int:
     """Number of free occurrences of `name` in `t`."""
     match t:

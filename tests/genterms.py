@@ -14,8 +14,8 @@ from fractions import Fraction
 from random import Random
 
 from lambcoin import (
-    App, Arrow, BOOL, COIN, Discipline, FreeVar, If, Lam, ONE, Oplus, Term,
-    Type, Var, ZERO, abstract, count_occurrences, redexes,
+    App, Arrow, BOOL, COIN, Coin, Discipline, FreeVar, If, Lam, ONE, Oplus,
+    Term, Type, Var, ZERO, abstract, count_occurrences, redexes,
 )
 
 FIRST_ORDER = (BOOL, Arrow(BOOL, BOOL), Arrow(BOOL, Arrow(BOOL, BOOL)))
@@ -177,6 +177,23 @@ def open_typed(rng: Random, discipline: Discipline, name: str, var_ty: Type,
     """Term typed at `goal` whose only allowed free variable is `name`."""
     return random_typed(rng, goal, [(name, var_ty)], size, discipline,
                         make_fresh())
+
+
+def without_coins(rng: Random, t: Term) -> Term:
+    """`t` with every coin replaced by a random constant, so it keeps its
+    types under every discipline."""
+    match t:
+        case Coin():
+            return rng.choice((ZERO, ONE))
+        case Lam(body, hint):
+            return Lam(without_coins(rng, body), hint)
+        case App(fun, arg):
+            return App(without_coins(rng, fun), without_coins(rng, arg))
+        case If(cond, then, orelse):
+            return If(without_coins(rng, cond), without_coins(rng, then),
+                      without_coins(rng, orelse))
+        case _:
+            return t
 
 
 def term_with_redex(rng: Random, size: int = 8, binders: int = 0,

@@ -239,3 +239,34 @@ def test_equiv_ambiguous_plug_exit_code(tmp_path: Path):
     relaxed = run("equiv", str(path), str(path), "--type", "B->B",
                   "--single-path")
     assert relaxed.returncode == 0
+
+
+def test_deep_parentheses_exit_six(tmp_path: Path):
+    path = tmp_path / "deep.term"
+    path.write_text("(" * 3000 + "0" + ")" * 3000 + "\n")
+    result = run("explore", str(path))
+    assert result.returncode == 6
+    assert "nested too deeply" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_long_identity_chain_exit_six(tmp_path: Path):
+    path = tmp_path / "chain.term"
+    path.write_text("(\\x.x) " * 600 + "0\n")
+    result = run("reduce", "--strategy", "cbn", str(path))
+    assert result.returncode == 6
+    assert "nested too deeply" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+XOR_LEFT = ("{ 1: \\f. if f 0 0 then 0 else (if f 1 1 then 0 else "
+            "(if f 0 1 then f 1 0 else 0)) }")
+
+
+def test_xor_pair_decided_at_bound_nine():
+    # L returns 1 only on XOR, which first appears among the B -> B -> B
+    # arguments at bound 9; its plugs are coin-free, so they are normalized
+    result = run("equiv", XOR_LEFT, "{ 1: \\f. 0 }",
+                 "--type", "(B->B->B)->B", "--size-bound", "9")
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[-1] == "NOT EQUIVALENT"
