@@ -10,7 +10,7 @@ procedure for computational equivalence of distributions.
 from .syntax import (
     App, Arrow, BOOL, Bool, CalculusVariant, Coin, COIN, FreeVar, If, Lam,
     One, ONE, Oplus, ParseError, ScopeError, Term, Type, Var, VariantError,
-    Zero, ZERO, abstract, alpha_eq, coin_free, count_occurrences,
+    Zero, ZERO, abstract, coin_free, count_occurrences,
     format_type, free_vars, instantiate, parse, parse_type, pretty,
     substitute, term_size,
 )
@@ -24,7 +24,7 @@ from .rewrite import (
     is_normal, redexes, replace_at, select_redex, step_at, subterm_at,
 )
 from .distribution import (
-    Distribution, InvalidChoice, WeightError, combine, dirac, dist_eq,
+    Distribution, InvalidChoice, WeightError, combine, dirac,
     format_distribution, lift_step, outcome_dist, parse_distribution,
     subst_dist,
 )

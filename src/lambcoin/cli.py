@@ -1,11 +1,15 @@
 """Command-line front end with canonical, diff-stable output.
 
 Input arguments are a file path if one exists with that name, `-` for
-standard input, and an inline term (or distribution) otherwise. Exit codes:
-0 success / confluent / equivalent, 1 negative verdict or type error,
-2 usage or parse error, 3 fuel exhausted, 4 ambiguous plugged term,
-5 hypothesis of the computational-confluence check not met, 6 input nested
-too deeply for the recursive term walks.
+standard input, and an inline term (or distribution) otherwise.
+
+Each command returns its exit code and one record, the dict that
+`--format structured` prints as JSON; `--format human` renders the same
+record as lines. Exit codes: 0 success / confluent / equivalent, 1 negative
+verdict or type error, 2 usage or parse error or an unreadable input path,
+3 fuel exhausted, 4 ambiguous plugged term, 5 hypothesis of the
+computational-confluence check not met, 6 input nested too deeply for the
+recursive term walks. `ERRORS` maps each exception to its exit code.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ import json
 import os
 import sys
 
-from .distribution import (
-    Distribution, WeightError, format_distribution, parse_distribution,
-)
+from .distribution import WeightError, format_distribution, parse_distribution
 from .equivalence import (
     NonConfluentPlug, NotSubAffineTyped, check_computational_confluence,
     comp_equiv, format_context,
@@ -40,6 +42,19 @@ EXIT_AMBIGUOUS_PLUG = 4
 EXIT_HYPOTHESIS = 5
 EXIT_TOO_DEEP = 6
 
+# (exception, stderr message, exit code); the first match wins, and
+# DivergenceError is a FuelExhausted.
+ERRORS = (
+    (ParseError, "parse error: {}", EXIT_USAGE),
+    (WeightError, "distribution error: {}", EXIT_USAGE),
+    ((OSError, UnicodeDecodeError), "cannot read input: {}", EXIT_USAGE),
+    (NonConfluentPlug, "ambiguous plugged term: {}", EXIT_AMBIGUOUS_PLUG),
+    (NotSubAffineTyped, "hypothesis not met: {}", EXIT_HYPOTHESIS),
+    (FuelExhausted, "fuel exhausted: {}", EXIT_FUEL),
+    (TypingError, "type error: {}", EXIT_NEGATIVE),
+    (RecursionError, "error: input nested too deeply", EXIT_TOO_DEEP),
+)
+
 DEMO_TERMS = {
     "figure1": "(\\x. \\y. y x x) coin",
     "section4": "(\\x. \\y. if y then x else ((\\z. if z then 0 else 1) x)) coin",
@@ -56,216 +71,195 @@ def read_source(arg: str) -> str:
     return arg
 
 
-def emit(args, human: str, record: dict) -> None:
-    if args.format == "structured":
-        print(json.dumps(record, sort_keys=True))
-    elif human:
-        print(human)
+def parse_term_arg(args) -> Term:
+    return parse(read_source(args.input), CalculusVariant(args.calculus))
 
 
-def parse_term_arg(args, source: str | None = None) -> Term:
-    text = read_source(source if source is not None else args.input)
-    return parse(text, CalculusVariant(args.calculus))
+def _formatted(dists) -> list[str]:
+    return [format_distribution(d) for d in dists]
 
 
-def cmd_typecheck(args) -> int:
+def _verdict(positive: bool) -> int:
+    return EXIT_OK if positive else EXIT_NEGATIVE
+
+
+# ---------------------------------------------------------------------------
+# Commands: each returns (exit code, record) and prints nothing
+
+def cmd_typecheck(args) -> tuple[int, dict]:
     term = parse_term_arg(args)
-    goal = parse_type(args.type) if args.type else None
+    goal = parse_type(args.type) if args.type is not None else None
+    record = {"command": "typecheck", "term": pretty(term), "system": args.system}
     try:
         ty = typecheck({}, term, Discipline(args.system), goal)
     except TypingError as exc:
-        emit(args, f"type error: {exc}",
-             {"command": "typecheck", "ok": False, "term": pretty(term),
-              "system": args.system, **exc.record()})
-        return EXIT_NEGATIVE
-    emit(args, format_type(ty),
-         {"command": "typecheck", "ok": True, "term": pretty(term),
-          "system": args.system, "type": format_type(ty)})
-    return EXIT_OK
+        return EXIT_NEGATIVE, {**record, "ok": False, **exc.record()}
+    return EXIT_OK, {**record, "ok": True, "type": format_type(ty)}
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> tuple[int, dict]:
     term = parse_term_arg(args)
+    record = {"command": "infer", "term": pretty(term)}
     try:
         ty = infer_simple({}, term)
     except TypingError as exc:
-        emit(args, f"type error: {exc}",
-             {"command": "infer", "ok": False, "term": pretty(term),
-              **exc.record()})
-        return EXIT_NEGATIVE
-    emit(args, format_inferred(ty),
-         {"command": "infer", "ok": True, "term": pretty(term),
-          "type": format_inferred(ty)})
-    return EXIT_OK
+        return EXIT_NEGATIVE, {**record, "ok": False, **exc.record()}
+    return EXIT_OK, {**record, "ok": True, "type": format_inferred(ty)}
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[int, dict]:
     term = parse_term_arg(args)
-    variant = CalculusVariant(args.calculus)
-    strategy = Strategy(args.strategy)
-    trace = reduce_with_strategy(term, strategy, variant, args.fuel)
-    if args.format == "structured":
-        record = {
-            "command": "reduce",
-            "strategy": args.strategy,
-            "initial": format_distribution(trace.initial),
-            "steps": [
-                {"fired": [{"term": pretty(t), "position": format_position(p)}
-                           for t, p in step.fired],
-                 "result": format_distribution(step.result)}
-                for step in trace.steps
-            ],
-            "terminal": format_distribution(trace.terminal),
-        }
-        print(json.dumps(record, sort_keys=True))
-        return EXIT_OK
-    for index, step in enumerate(trace.steps, start=1):
-        fired = ", ".join(format_position(p) for _, p in step.fired)
-        print(f"step {index}: fired {fired} -> {format_distribution(step.result)}")
-    print(format_distribution(trace.terminal))
-    return EXIT_OK
+    trace = reduce_with_strategy(term, Strategy(args.strategy),
+                                 CalculusVariant(args.calculus), args.fuel)
+    return EXIT_OK, {
+        "command": "reduce",
+        "strategy": args.strategy,
+        "initial": format_distribution(trace.initial),
+        "steps": [
+            {"fired": [{"term": pretty(t), "position": format_position(p)}
+                       for t, p in step.fired],
+             "result": format_distribution(step.result)}
+            for step in trace.steps
+        ],
+        "terminal": format_distribution(trace.terminal),
+    }
 
 
-def cmd_explore(args) -> int:
+def cmd_explore(args) -> tuple[int, dict]:
     term = parse_term_arg(args)
-    variant = CalculusVariant(args.calculus)
-    finals = normal_form_distributions(term, variant, args.fuel)
-    if args.format == "structured":
-        print(json.dumps({"command": "explore", "term": pretty(term),
-                          "distributions": [format_distribution(d) for d in finals]},
-                         sort_keys=True))
-        return EXIT_OK
-    for dist in finals:
-        print(format_distribution(dist))
-    return EXIT_OK
+    finals = normal_form_distributions(term, CalculusVariant(args.calculus),
+                                       args.fuel)
+    return EXIT_OK, {"command": "explore", "term": pretty(term),
+                     "distributions": _formatted(finals)}
 
 
-def cmd_confluence(args) -> int:
+def cmd_confluence(args) -> tuple[int, dict]:
     term = parse_term_arg(args)
-    variant = CalculusVariant(args.calculus)
-    result = check_probabilistic_confluence(term, variant, args.fuel)
-    verdict = "CONFLUENT" if result.confluent else "NOT CONFLUENT"
-    if args.format == "structured":
-        record = {
-            "command": "confluence",
-            "term": pretty(term),
-            "confluent": result.confluent,
-            "distributions": [format_distribution(d)
-                              for d in result.final_distributions],
-            "witness": ([format_distribution(d) for d in result.witness]
-                        if result.witness else None),
-            "stats": {"nodes": result.stats.nodes,
-                      "max_depth": result.stats.max_depth,
-                      "fuel_spent": result.stats.fuel_spent},
-        }
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(verdict)
-        for dist in result.final_distributions:
-            print(format_distribution(dist))
-        if result.witness is not None:
-            first, second = result.witness
-            print(f"witness: {format_distribution(first)} "
-                  f"!= {format_distribution(second)}")
-        stats = result.stats
-        print(f"nodes={stats.nodes} max_depth={stats.max_depth} "
-              f"fuel_spent={stats.fuel_spent}")
-    return EXIT_OK if result.confluent else EXIT_NEGATIVE
+    result = check_probabilistic_confluence(term, CalculusVariant(args.calculus),
+                                            args.fuel)
+    return _verdict(result.confluent), {
+        "command": "confluence",
+        "term": pretty(term),
+        "confluent": result.confluent,
+        "distributions": _formatted(result.final_distributions),
+        "witness": _formatted(result.witness) if result.witness else None,
+        "stats": {"nodes": result.stats.nodes,
+                  "max_depth": result.stats.max_depth,
+                  "fuel_spent": result.stats.fuel_spent},
+    }
 
 
-def _load_distribution(arg: str, variant: CalculusVariant) -> Distribution:
-    return parse_distribution(read_source(arg), variant)
-
-
-def cmd_equiv(args) -> int:
-    variant = CalculusVariant(args.calculus)
-    left = _load_distribution(args.left, variant)
-    right = _load_distribution(args.right, variant)
+def cmd_equiv(args) -> tuple[int, dict]:
+    left = parse_distribution(read_source(args.left))
+    right = parse_distribution(read_source(args.right))
     ty = parse_type(args.type)
     verdict = comp_equiv(left, right, ty, args.size_bound, args.fuel,
                          args.single_path)
-    return _report_equiv(args, verdict.per_context, verdict.equivalent,
-                         extra={"command": "equiv", "type": format_type(ty)})
+    return _verdict(verdict.equivalent), {
+        "command": "equiv",
+        "type": format_type(ty),
+        "equivalent": verdict.equivalent,
+        "contexts": [
+            {"context": format_context(c.context),
+             "left": format_distribution(c.left),
+             "right": format_distribution(c.right),
+             "matches": c.matches}
+            for c in verdict.per_context
+        ],
+    }
 
 
-def _report_equiv(args, checks, equivalent: bool, extra: dict) -> int:
-    if args.format == "structured":
-        record = {
-            **extra,
-            "equivalent": equivalent,
-            "contexts": [
-                {"context": format_context(c.context),
-                 "left": format_distribution(c.left),
-                 "right": format_distribution(c.right),
-                 "matches": c.matches}
-                for c in checks
-            ],
-        }
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for check in checks:
-            status = "OK" if check.matches else "MISMATCH"
-            print(f"{format_context(check.context)} | "
-                  f"{format_distribution(check.left)} | "
-                  f"{format_distribution(check.right)} | {status}")
-        print("EQUIVALENT" if equivalent else "NOT EQUIVALENT")
-    return EXIT_OK if equivalent else EXIT_NEGATIVE
-
-
-def cmd_computational_confluence(args) -> int:
-    term = parse_term_arg(args)
+def cmd_computational_confluence(args) -> tuple[int, dict]:
+    term = parse(read_source(args.input))
     report = check_computational_confluence(term, args.size_bound, args.fuel,
                                             args.single_path)
-    if args.format == "structured":
-        record = {
-            "command": "computational-confluence",
-            "term": pretty(report.term),
-            "type": format_type(report.term_type),
-            "distributions": [format_distribution(d)
-                              for d in report.distributions],
-            "pairs": [{"left": i, "right": j, "equivalent": v.equivalent}
-                      for i, j, v in report.pairwise],
-            "equivalent": report.equivalent,
-        }
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(f"type: {format_type(report.term_type)}")
-        for dist in report.distributions:
-            print(format_distribution(dist))
-        for i, j, verdict in report.pairwise:
-            status = "EQUIV" if verdict.equivalent else "NOT EQUIV"
-            print(f"pair {i} {j}: {status}")
-        print("COMPUTATIONALLY CONFLUENT" if report.equivalent
-              else "NOT COMPUTATIONALLY CONFLUENT")
-    return EXIT_OK if report.equivalent else EXIT_NEGATIVE
+    return _verdict(report.equivalent), {
+        "command": "computational-confluence",
+        "term": pretty(report.term),
+        "type": format_type(report.term_type),
+        "distributions": _formatted(report.distributions),
+        "pairs": [{"left": i, "right": j, "equivalent": v.equivalent}
+                  for i, j, v in report.pairwise],
+        "equivalent": report.equivalent,
+    }
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> tuple[int, dict]:
     term = parse(DEMO_TERMS[args.name])
-    equivalent = None
-    if args.name == "internalized":
-        finals = normal_form_distributions(term, CalculusVariant.INTERNALIZED,
-                                           args.fuel)
-    elif args.name == "figure1":
-        finals = normal_form_distributions(term, fuel=args.fuel)
-    else:
+    record = {"command": "demo", "name": args.name, "term": pretty(term)}
+    if args.name == "section4":
         report = check_computational_confluence(term, fuel=args.fuel)
         finals = report.distributions
-        equivalent = report.equivalent
-    if args.format == "structured":
-        record = {"command": "demo", "name": args.name, "term": pretty(term),
-                  "distributions": [format_distribution(d) for d in finals]}
-        if equivalent is not None:
-            record["equivalent"] = equivalent
-        print(json.dumps(record, sort_keys=True))
+        record["equivalent"] = report.equivalent
     else:
-        print(f"term: {pretty(term)}")
-        for dist in finals:
-            print(format_distribution(dist))
-        if equivalent is not None:
-            print("EQUIVALENT" if equivalent else "NOT EQUIVALENT")
-    return EXIT_OK if equivalent in (None, True) else EXIT_NEGATIVE
+        variant = (CalculusVariant.INTERNALIZED if args.name == "internalized"
+                   else CalculusVariant.PLAIN)
+        finals = normal_form_distributions(term, variant, args.fuel)
+    record["distributions"] = _formatted(finals)
+    return _verdict(record.get("equivalent", True)), record
 
+
+# ---------------------------------------------------------------------------
+# Human rendering: record -> lines, one function per command
+
+def _typing_lines(r):
+    yield r["type"] if r["ok"] else f"type error: {TypingError.describe(r)}"
+
+
+def _reduce_lines(r):
+    for index, step in enumerate(r["steps"], start=1):
+        fired = ", ".join(f["position"] for f in step["fired"])
+        yield f"step {index}: fired {fired} -> {step['result']}"
+    yield r["terminal"]
+
+
+def _confluence_lines(r):
+    yield "CONFLUENT" if r["confluent"] else "NOT CONFLUENT"
+    yield from r["distributions"]
+    if r["witness"] is not None:
+        yield "witness: {} != {}".format(*r["witness"])
+    yield "nodes={nodes} max_depth={max_depth} fuel_spent={fuel_spent}".format(
+        **r["stats"])
+
+
+def _equiv_lines(r):
+    for c in r["contexts"]:
+        status = "OK" if c["matches"] else "MISMATCH"
+        yield f"{c['context']} | {c['left']} | {c['right']} | {status}"
+    yield "EQUIVALENT" if r["equivalent"] else "NOT EQUIVALENT"
+
+
+def _computational_confluence_lines(r):
+    yield f"type: {r['type']}"
+    yield from r["distributions"]
+    for pair in r["pairs"]:
+        status = "EQUIV" if pair["equivalent"] else "NOT EQUIV"
+        yield f"pair {pair['left']} {pair['right']}: {status}"
+    yield ("COMPUTATIONALLY CONFLUENT" if r["equivalent"]
+           else "NOT COMPUTATIONALLY CONFLUENT")
+
+
+def _demo_lines(r):
+    yield f"term: {r['term']}"
+    yield from r["distributions"]
+    if "equivalent" in r:
+        yield "EQUIVALENT" if r["equivalent"] else "NOT EQUIVALENT"
+
+
+RENDERERS = {
+    "typecheck": _typing_lines,
+    "infer": _typing_lines,
+    "reduce": _reduce_lines,
+    "explore": lambda r: r["distributions"],
+    "confluence": _confluence_lines,
+    "equiv": _equiv_lines,
+    "computational-confluence": _computational_confluence_lines,
+    "demo": _demo_lines,
+}
+
+
+# ---------------------------------------------------------------------------
+# Arguments and the entry point
 
 def _positive_int(text: str) -> int:
     """An integer of at least 1, for the fuel and size-bound settings."""
@@ -283,64 +277,57 @@ def build_parser(default_fuel: int) -> argparse.ArgumentParser:
         prog="lambcoin",
         description="workbench for the probabilistic lambda calculus with a coin")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "input": {"help": "term (inline, file path, or - for stdin)"},
+        "--calculus": {"choices": ["plain", "internal"], "default": "plain"},
+        "--fuel": {"type": _positive_int, "default": default_fuel},
+    }
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="term (inline, file path, or - for stdin)")
-        p.add_argument("--calculus", choices=["plain", "internal"],
-                       default="plain")
-        p.add_argument("--fuel", type=_positive_int, default=default_fuel)
+    def command(name, run, help, *flags):
+        """A subcommand with `--format` and those of `shared` it honours."""
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         p.add_argument("--format", choices=["human", "structured"],
                        default="human")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("typecheck", help="check a term under a discipline")
-    common(p)
+    p = command("typecheck", cmd_typecheck, "check a term under a discipline",
+                "input", "--calculus")
     p.add_argument("--system", choices=["simple", "affine", "subaffine"],
                    default="simple")
     p.add_argument("--type", help="goal type, e.g. 'B->B'")
-    p.set_defaults(run=cmd_typecheck)
 
-    p = sub.add_parser("infer", help="principal simple type")
-    common(p)
-    p.set_defaults(run=cmd_infer)
+    command("infer", cmd_infer, "principal simple type", "input", "--calculus")
 
-    p = sub.add_parser("reduce", help="reduce with a deterministic strategy")
-    common(p)
+    p = command("reduce", cmd_reduce, "reduce with a deterministic strategy",
+                "input", "--calculus", "--fuel")
     p.add_argument("--strategy", choices=["cbn", "cbv"], required=True)
-    p.set_defaults(run=cmd_reduce)
 
-    p = sub.add_parser("explore", help="all reachable normal-form distributions")
-    common(p)
-    p.set_defaults(run=cmd_explore)
+    command("explore", cmd_explore, "all reachable normal-form distributions",
+            "input", "--calculus", "--fuel")
 
-    p = sub.add_parser("confluence", help="probabilistic-confluence verdict")
-    common(p)
-    p.set_defaults(run=cmd_confluence)
+    command("confluence", cmd_confluence, "probabilistic-confluence verdict",
+            "input", "--calculus", "--fuel")
 
-    p = sub.add_parser("equiv", help="computational equivalence of two distributions")
+    p = command("equiv", cmd_equiv,
+                "computational equivalence of two distributions", "--fuel")
     p.add_argument("left", help="distribution (inline, file path, or -)")
     p.add_argument("right", help="distribution (inline, file path, or -)")
-    common(p, with_input=False)
     p.add_argument("--type", required=True, help="type of the support terms")
     p.add_argument("--size-bound", type=_positive_int, default=6)
     p.add_argument("--single-path", action="store_true",
                    help="evaluate plugs of support terms that hold a coin "
                         "by call-by-value only")
-    p.set_defaults(run=cmd_equiv)
 
-    p = sub.add_parser("computational-confluence",
-                       help="check all endpoints pairwise equivalent")
-    common(p)
+    p = command("computational-confluence", cmd_computational_confluence,
+                "check all endpoints pairwise equivalent", "input", "--fuel")
     p.add_argument("--size-bound", type=_positive_int, default=6)
     p.add_argument("--single-path", action="store_true")
-    p.set_defaults(run=cmd_computational_confluence)
 
-    p = sub.add_parser("demo", help="built-in scenarios")
+    p = command("demo", cmd_demo, "built-in scenarios", "--fuel")
     p.add_argument("name", choices=sorted(DEMO_TERMS))
-    p.add_argument("--fuel", type=_positive_int, default=default_fuel)
-    p.add_argument("--format", choices=["human", "structured"],
-                   default="human")
-    p.set_defaults(run=cmd_demo)
 
     return parser
 
@@ -351,31 +338,21 @@ def main(argv: list[str] | None = None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"lambcoin: error: LAMBCOIN_FUEL: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser = build_parser(default_fuel)
-    args = parser.parse_args(argv)
+    args = build_parser(default_fuel).parse_args(argv)
     try:
-        return args.run(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except WeightError as exc:
-        print(f"distribution error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonConfluentPlug as exc:
-        print(f"ambiguous plugged term: {exc}", file=sys.stderr)
-        return EXIT_AMBIGUOUS_PLUG
-    except NotSubAffineTyped as exc:
-        print(f"hypothesis not met: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except FuelExhausted as exc:
-        print(f"fuel exhausted: {exc}", file=sys.stderr)
-        return EXIT_FUEL
-    except TypingError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except RecursionError:
-        print("error: input nested too deeply", file=sys.stderr)
-        return EXIT_TOO_DEEP
+        code, record = args.run(args)
+    except Exception as exc:
+        for error, message, error_code in ERRORS:
+            if isinstance(exc, error):
+                print(message.format(exc), file=sys.stderr)
+                return error_code
+        raise
+    if args.format == "structured":
+        print(json.dumps(record, sort_keys=True))
+    else:
+        for line in RENDERERS[record["command"]](record):
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

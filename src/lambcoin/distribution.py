@@ -115,11 +115,6 @@ def combine(parts: Iterable[tuple[Fraction, Distribution]]) -> Distribution:
     return Distribution._trusted(acc)
 
 
-def dist_eq(d1: Distribution, d2: Distribution) -> bool:
-    """Equality of distributions: same support up to alpha, same rationals."""
-    return d1 == d2
-
-
 def subst_dist(d: Distribution, name: str, r: Term) -> Distribution:
     """Substitute `r` for the free variable `name` in every support term."""
     return Distribution((substitute(t, name, r), p) for t, p in d.items())
@@ -135,7 +130,7 @@ def lift_step(d: Distribution, choice: Mapping[Term, Position],
     """
     acc: dict[Term, Fraction] = {}
     for term, prob in d.items():
-        if is_normal(term, variant):
+        if is_normal(term):
             if term in choice:
                 raise InvalidChoice(f"{pretty(term)} is normal, nothing to fire")
             acc[term] = acc.get(term, 0) + prob

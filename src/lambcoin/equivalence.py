@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distribution import Distribution, combine, dirac, dist_eq
+from .distribution import Distribution, combine, dirac
 from .explore import (
     DEFAULT_FUEL, Explorer, Trace, normalize, reduce_with_strategy,
 )
@@ -257,7 +257,7 @@ def comp_equiv(d1: Distribution, d2: Distribution, ty: Type,
                               fuel)
         right = _context_value(right_support, context, explorer, single_path,
                                fuel)
-        matches = dist_eq(left, right)
+        matches = left == right
         checks.append(ContextCheck(context, left, right, matches))
         if not matches and failing is None:
             failing = context

@@ -112,7 +112,7 @@ class Explorer:
         explored is marked cyclic and never memoized, so the cache stays
         sound for later queries rooted elsewhere.
         """
-        if is_normal(t, self.variant):
+        if is_normal(t):
             return (dirac(t),), False
         if t in on_stack:
             return (), True  # this path loops and never reaches a normal form
@@ -125,7 +125,7 @@ class Explorer:
         on_stack = on_stack | {t}
         results: set[Distribution] = set()
         cyclic = False
-        for pos in redexes(t, self.variant):
+        for pos in redexes(t):
             outcome = step_at(t, pos, self.variant)
             continuations = []
             for _, r in outcome.outcomes:

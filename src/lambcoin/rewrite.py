@@ -112,7 +112,7 @@ def _is_redex_head(t: Term) -> bool:
             return False
 
 
-def redexes(t: Term, variant: CalculusVariant = CalculusVariant.PLAIN) -> list[Position]:
+def redexes(t: Term) -> list[Position]:
     """All redex positions in deterministic pre-order (leftmost-outermost first).
 
     The set of positions is the same in both calculus variants; only the
@@ -130,7 +130,7 @@ def redexes(t: Term, variant: CalculusVariant = CalculusVariant.PLAIN) -> list[P
     return found
 
 
-def is_normal(t: Term, variant: CalculusVariant = CalculusVariant.PLAIN) -> bool:
+def is_normal(t: Term) -> bool:
     def walk(u: Term) -> bool:
         if _is_redex_head(u):
             return False

@@ -240,11 +240,6 @@ ONE = One()
 COIN = Coin()
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
-    """Structural equality of the nameless forms (hints ignored)."""
-    return t == u
-
-
 def free_vars(t: Term) -> frozenset[str]:
     """Names of the free variables of `t`."""
     match t:

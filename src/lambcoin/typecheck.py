@@ -39,10 +39,15 @@ class TypingError(Exception):
         self.path = path
         self.expected = expected
         self.actual = actual
-        where = ".".join(path) if path else "root"
-        detail = f" (expected {expected}, got {actual})" if expected else ""
-        rule_tag = f" [{rule}]" if rule else ""
-        super().__init__(f"{message}{detail} at {where}{rule_tag}")
+        super().__init__(self.describe(self.record()))
+
+    @staticmethod
+    def describe(record: dict) -> str:
+        """The one-line message of an error, from its `record()`."""
+        detail = (f" (expected {record['expected']}, got {record['actual']})"
+                  if record["expected"] else "")
+        rule_tag = f" [{record['rule']}]" if record["rule"] else ""
+        return f"{record['message']}{detail} at {record['path']}{rule_tag}"
 
     def record(self) -> dict:
         """Structured rendering of the error."""

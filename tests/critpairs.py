@@ -15,7 +15,7 @@ from random import Random
 
 from lambcoin import (
     App, Arrow, BOOL, Discipline, Distribution, If, ONE, Term, Type, ZERO,
-    abstract, comp_equiv, dirac, dist_eq, is_normal, lift_step,
+    abstract, comp_equiv, dirac, is_normal, lift_step,
     outcome_dist as dist_of, redexes, step_at, substitute, typecheck,
 )
 
@@ -43,7 +43,7 @@ def check_if_kept_branch(rng: Random, cond_is_one: bool) -> None:
     # complete the branch-first path: inner redex, then the if in every outcome
     after_inner = dist_of(step_at(conditional, (selector,) + pos))
     end_branch_first = _fire_root_everywhere(after_inner)
-    assert dist_eq(end_conditional_first, end_branch_first)
+    assert end_conditional_first == end_branch_first
 
 
 def check_if_discarded_branch(rng: Random, cond_is_one: bool) -> None:
@@ -60,8 +60,8 @@ def check_if_discarded_branch(rng: Random, cond_is_one: bool) -> None:
     after_inner = dist_of(step_at(conditional, (selector,) + pos))
     end_branch_first = _fire_root_everywhere(after_inner)
     # the reducts of the discarded branch all collapse back onto s
-    assert dist_eq(end_branch_first, dirac(s))
-    assert dist_eq(end_conditional_first, end_branch_first)
+    assert end_branch_first == dirac(s)
+    assert end_conditional_first == end_branch_first
 
 
 def check_beta_vs_body(rng: Random) -> None:
@@ -77,7 +77,7 @@ def check_beta_vs_body(rng: Random) -> None:
     # body redex first (under the binder), then beta in every outcome
     after_body = dist_of(step_at(application, ("fun", "body") + pos))
     end_body_first = _fire_root_everywhere(after_body)
-    assert dist_eq(end_beta_first, end_body_first)
+    assert end_beta_first == end_body_first
 
 
 def _closed_reducible(rng: Random, ty: Type, size: int) -> Term:

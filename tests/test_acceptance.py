@@ -13,8 +13,8 @@ from random import Random
 
 from lambcoin import (
     AffinityViolation, CalculusVariant, Discipline, Distribution, Strategy,
-    alpha_eq, check_computational_confluence, check_probabilistic_confluence,
-    comp_equiv, dirac, dist_eq, format_context, normal_form_distributions,
+    check_computational_confluence, check_probabilistic_confluence,
+    comp_equiv, dirac, format_context, normal_form_distributions,
     parse, parse_type, redexes, reduce_with_strategy, step_at, substitute,
     typecheck,
 )
@@ -70,7 +70,7 @@ def test_criterion_02_strategy_endpoints():
     cbn = reduce_with_strategy(FIG1, Strategy.CALL_BY_NAME).terminal
     elapsed = time.monotonic() - start
     report(2, "call-by-value reaches the halves, call-by-name the quarters, < 1 s",
-           dist_eq(cbv, FIG1_LEFT) and dist_eq(cbn, FIG1_RIGHT) and elapsed < 1.0)
+           cbv == FIG1_LEFT and cbn == FIG1_RIGHT and elapsed < 1.0)
 
 
 def test_criterion_03_internalized_confluence():
@@ -80,7 +80,7 @@ def test_criterion_03_internalized_confluence():
     finals = normal_form_distributions(FIG1, INTERNAL)
     elapsed = time.monotonic() - start
     report(3, "internalized traces and exploration converge to the choice term, < 1 s",
-           all(dist_eq(t, expected) for t in traces)
+           all(t == expected for t in traces)
            and finals == (expected,) and elapsed < 1.0)
 
 
@@ -109,7 +109,7 @@ def test_criterion_05_section_four_example():
     contexts = [format_context(c.context) for c in verdict.per_context]
     per_context_ok = (
         contexts == ["◊ 0", "◊ 1"]
-        and all(dist_eq(c.left, COIN_RESULT) and dist_eq(c.right, COIN_RESULT)
+        and all(c.left == COIN_RESULT and c.right == COIN_RESULT
                 for c in verdict.per_context))
     report(5, "exploration matches the two diagram distributions and they are "
               "equivalent at B -> B, < 1 s",
@@ -159,7 +159,7 @@ def test_criterion_08_lemma_suites():
         r = random_term(rng, size=rng.randint(1, 6), free=("x", "z"))
         lhs = substitute(substitute(t, "y", q), "x", r)
         rhs = substitute(substitute(t, "x", r), "y", substitute(q, "x", r))
-        commutation_ok = commutation_ok and alpha_eq(lhs, rhs)
+        commutation_ok = commutation_ok and lhs == rhs
 
     # step/substitution commutation for every redex kind
     step_ok = True

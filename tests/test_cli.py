@@ -1,9 +1,18 @@
 """Golden command-line tests: canonical output and exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
+
+import pytest
+
+from genterms import closed_typed, random_term
+from lambcoin import Discipline, pretty
+from lambcoin.cli import main
 
 FIG1 = "(\\x.\\y. y x x) coin"
 SECTION4 = "(\\x.\\y. if y then x else ((\\z. if z then 0 else 1) x)) coin"
@@ -270,3 +279,195 @@ def test_xor_pair_decided_at_bound_nine():
                  "--type", "(B->B->B)->B", "--size-bound", "9")
     assert result.returncode == 1
     assert result.stdout.splitlines()[-1] == "NOT EQUIVALENT"
+
+
+def test_unreadable_input_path_is_a_usage_error(tmp_path: Path):
+    result = run("explore", str(tmp_path))
+    assert result.returncode == 2
+    assert "cannot read input" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_empty_goal_type_is_a_parse_error():
+    result = run("typecheck", "0", "--type", "")
+    assert result.returncode == 2
+    assert "parse error" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("typecheck", "--fuel", "10", "0"),
+    ("infer", "--fuel", "10", "0"),
+    ("equiv", "--calculus", "internal", "{ 1: 0 }", "{ 1: 0 }", "--type", "B"),
+    ("computational-confluence", "--calculus", "internal", "coin"),
+])
+def test_flags_a_command_would_ignore_are_rejected(argv):
+    assert run(*argv).returncode == 2
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of `main(argv)` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# (name, arguments, exit code) over all eight commands. tests/golden/
+# <name>.<format> holds the exact standard output of each format.
+GOLDEN = [
+    ("typecheck-figure1", ["typecheck", FIG1], 0),
+    ("typecheck-affine-error", ["typecheck", "--system", "affine", FIG1], 1),
+    ("typecheck-internal", ["typecheck", "--calculus", "internal",
+                            "\\y. y (0 +[1/2] 1) (0 +[1/2] 1)"], 0),
+    ("infer-section4", ["infer", SECTION4], 0),
+    ("infer-error", ["infer", "0 0"], 1),
+    ("reduce-cbn-figure1", ["reduce", "--strategy", "cbn", FIG1], 0),
+    ("reduce-cbv-section4", ["reduce", "--strategy", "cbv", SECTION4], 0),
+    ("reduce-internal", ["reduce", "--strategy", "cbn", "--calculus",
+                         "internal", FIG1], 0),
+    ("explore-figure1", ["explore", FIG1], 0),
+    ("explore-section4", ["explore", SECTION4], 0),
+    ("explore-internal", ["explore", "--calculus", "internal", FIG1], 0),
+    ("confluence-figure1", ["confluence", FIG1], 1),
+    ("confluence-internal", ["confluence", "--calculus", "internal", FIG1], 0),
+    ("equiv-figure1", ["equiv", FIG1_LEFT, FIG1_RIGHT, "--type",
+                       "(B->B->B)->B", "--size-bound", "6"], 1),
+    ("computational-confluence-section4",
+     ["computational-confluence", SECTION4], 0),
+    ("computational-confluence-figure1",
+     ["computational-confluence", FIG1], 5),
+    ("demo-figure1", ["demo", "figure1"], 0),
+    ("demo-section4", ["demo", "section4"], 0),
+    ("demo-internalized", ["demo", "internalized"], 0),
+]
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+@pytest.mark.parametrize("name,argv,code", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output(name, argv, code, fmt, monkeypatch):
+    monkeypatch.delenv("LAMBCOIN_FUEL", raising=False)
+    got_code, out, _ = run_main([*argv, "--format", fmt])
+    assert got_code == code
+    assert out == (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+FUZZ_COMMANDS = {  # command -> (kinds of its positional arguments, its flags)
+    "typecheck": (("term",), ("--calculus", "--system", "--type")),
+    "infer": (("term",), ("--calculus",)),
+    "reduce": (("term",), ("--calculus", "--fuel", "--strategy")),
+    "explore": (("term",), ("--calculus", "--fuel")),
+    "confluence": (("term",), ("--calculus", "--fuel")),
+    "equiv": (("dist", "dist"), ("--fuel", "--type", "--size-bound",
+                                 "--single-path")),
+    "computational-confluence": (("term",), ("--fuel", "--size-bound",
+                                             "--single-path")),
+    "demo": (("demo",), ("--fuel",)),
+}
+TERM_TOKENS = ("\\x.", "\\y.", "lam z.", "x", "y", "z", "0", "1", "coin", "(",
+               ")", "if", "then", "else", "+[1/2]", "+[3/2]", "+[", "]", ".",
+               "\\", "#", "é")
+TYPE_TOKENS = ("B", "->", "(", ")", "'a", "C", " ")
+BAD_PROBABILITIES = ("0", "-1", "abc", "1/0", "3/2", "", "1e9", "1/3")
+# flag -> (values a command accepts, values it rejects)
+FLAG_VALUES = {
+    "--fuel": (("1", "50", "2000"), ("0", "-3", "abc", "1.5")),
+    "--size-bound": (("1", "2", "4"), ("0", "x")),
+    "--calculus": (("plain", "internal"), ("quantum",)),
+    "--strategy": (("cbn", "cbv"), ("cbx",)),
+    "--system": (("simple", "affine", "subaffine"), ("linear",)),
+    "--type": (("B", "B->B", "B->B->B", "(B->B)->B"), ("", "B->", "C")),
+    "--format": (("human", "structured"), ("xml",)),
+    "--single-path": ((None,), ()),
+    "--bogus": ((), (None, "1")),
+}
+NEGATIVE_VERDICTS = {"NOT CONFLUENT", "NOT EQUIVALENT",
+                     "NOT COMPUTATIONALLY CONFLUENT"}
+
+
+def _fuzz_term(rng: Random) -> str:
+    """A malformed token string, an arbitrary well-scoped term, possibly
+    open or with choices, or a closed sub-affine-typed one."""
+    roll = rng.random()
+    if roll < 0.3:
+        return " ".join(rng.choice(TERM_TOKENS) for _ in range(rng.randint(0, 7)))
+    if roll < 0.7:
+        return pretty(random_term(rng, rng.randint(1, 10),
+                                  free=("y",) if rng.random() < 0.2 else (),
+                                  allow_oplus=rng.random() < 0.2))
+    return pretty(closed_typed(rng, Discipline.SUBAFFINE, size=8)[0])
+
+
+def _fuzz_distribution(rng: Random) -> str:
+    count = rng.randint(1, 3)
+    probs = ["1"] if count == 1 else [f"1/{count}"] * count
+    if rng.random() < 0.3:
+        probs[rng.randrange(count)] = rng.choice(BAD_PROBABILITIES)
+    body = " ; ".join(f"{p}: {_fuzz_term(rng)}" for p in probs)
+    return "{ %s }" % body if rng.random() < 0.9 else "{ %s" % body
+
+
+def _fuzz_argv(rng: Random, special: list[str]) -> list[str]:
+    command = rng.choice(sorted(FUZZ_COMMANDS))
+    kinds, flags = FUZZ_COMMANDS[command]
+    argv = [command]
+    for kind in kinds:
+        if rng.random() < 0.05:
+            argv.append(rng.choice(special))
+        elif kind == "term":
+            argv.append(_fuzz_term(rng))
+        elif kind == "dist":
+            argv.append(_fuzz_distribution(rng))
+        else:
+            argv.append(rng.choice(("figure1", "section4", "internalized",
+                                    "figure2")))
+    pool = sorted(FLAG_VALUES) if rng.random() < 0.15 else ["--format", *flags]
+    for flag in rng.sample(pool, min(len(pool), rng.randint(0, 2))):
+        good, bad = FLAG_VALUES[flag]
+        value = rng.choice(bad if not good or (bad and rng.random() < 0.15)
+                           else good)
+        if flag == "--type" and rng.random() < 0.2:
+            value = "".join(rng.choice(TYPE_TOKENS)
+                            for _ in range(rng.randint(0, 6)))
+        argv += [flag] if value is None else [flag, value]
+    if command == "reduce" and "--strategy" not in argv and rng.random() < 0.9:
+        argv += ["--strategy", rng.choice(("cbn", "cbv"))]
+    if command == "equiv" and "--type" not in argv and rng.random() < 0.9:
+        argv += ["--type", rng.choice(("B", "B->B", "B->B->B"))]
+    return argv
+
+
+def test_cli_fuzz_no_traceback_and_documented_exit_codes(tmp_path: Path,
+                                                         monkeypatch):
+    # A small fuel keeps growing or divergent draws short.
+    monkeypatch.setenv("LAMBCOIN_FUEL", "2000")
+    binary = tmp_path / "binary.term"
+    binary.write_bytes(b"\xff\xfe\x00coin")
+    deep = tmp_path / "deep.term"
+    deep.write_text("(" * 3000 + "0" + ")" * 3000)
+    special = [str(tmp_path), str(binary), str(deep),
+               "(" * 3000 + "0" + ")" * 3000]
+    rng = Random(20261018)
+    argvs = [["explore", str(tmp_path)], ["explore", str(deep)],
+             ["explore", str(binary)], ["equiv", str(tmp_path), "{ 1: 0 }",
+                                        "--type", "B"]]
+    argvs += [_fuzz_argv(rng, special) for _ in range(600)]
+    seen = set()
+    for argv in argvs:
+        code, out, err = run_main(argv)
+        seen.add(code)
+        assert "Traceback" not in err, argv
+        assert code in {0, 1, 2, 3, 4, 5, 6}, argv
+        if code == 1:
+            if out.startswith("{"):
+                record = json.loads(out)
+                negative = False in (record.get("ok"), record.get("confluent"),
+                                     record.get("equivalent"))
+            else:
+                negative = bool(NEGATIVE_VERDICTS & set(out.splitlines()))
+            assert negative or "type error" in out + err, argv
+    assert {0, 1, 2, 3, 6} <= seen  # the draws reach past argument parsing

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambcoin import (
-    Distribution, InvalidChoice, WeightError, combine, dirac, dist_eq,
+    Distribution, InvalidChoice, WeightError, combine, dirac,
     format_distribution, lift_step, parse, parse_distribution, subst_dist,
 )
 
@@ -80,19 +80,19 @@ def test_combine_associativity():
         (HALF, combine([(w[0] / HALF, dists[0]), (w[1] / HALF, dists[1])])),
         (HALF, combine([(w[2] / HALF, dists[2]), (w[3] / HALF, dists[3])])),
     ])
-    assert dist_eq(flat, nested)
+    assert flat == nested
 
 
 def test_dist_eq_examples():
     left = Distribution([(parse("\\y. y 0 0"), HALF), (parse("\\y. y 1 1"), HALF)])
     right = Distribution([(parse(f"\\y. y {a} {b}"), QUARTER)
                           for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))])
-    assert not dist_eq(left, right)
+    assert left != right
     reordered = Distribution([(parse("\\y. y 1 1"), HALF), (parse("\\y. y 0 0"), HALF)])
-    assert dist_eq(left, reordered)
+    assert left == reordered
     alpha = Distribution([(parse("\\x. x"), HALF), (parse("0"), HALF)])
     beta = Distribution([(parse("\\y. y"), HALF), (parse("0"), HALF)])
-    assert dist_eq(alpha, beta)
+    assert alpha == beta
 
 
 def test_subst_dist_examples():

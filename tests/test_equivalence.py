@@ -7,7 +7,7 @@ import pytest
 from lambcoin import (
     App, BOOL, Discipline, Distribution, EliminationContext, If, Lam,
     NonConfluentPlug, NotSubAffineTyped, ONE, One, TypingError, Var, ZERO,
-    Zero, check_computational_confluence, comp_equiv, dirac, dist_eq,
+    Zero, check_computational_confluence, comp_equiv, dirac,
     enum_contexts, enum_normal_closed, format_context, is_normal,
     normal_form_distributions, parse, parse_type, plug, typecheck,
 )
@@ -160,8 +160,8 @@ def test_comp_equiv_section_four():
     expected = Distribution([(parse("0"), HALF), (parse("1"), HALF)])
     for check in verdict.per_context:
         assert check.matches
-        assert dist_eq(check.left, expected)
-        assert dist_eq(check.right, expected)
+        assert check.left == expected
+        assert check.right == expected
 
 
 def test_comp_equiv_reflexive():
@@ -188,7 +188,7 @@ def test_comp_equiv_distinguishes_projections():
 def test_dist_eq_implies_comp_equiv():
     left, _ = section4_distributions()
     same = Distribution(list(left.items()))
-    assert dist_eq(left, same)
+    assert left == same
     assert comp_equiv(left, same, parse_type("B -> B")).equivalent
 
 
@@ -221,7 +221,7 @@ def test_figure_one_endpoints_not_equivalent():
     assert not verdict.equivalent
     assert verdict.failing_context is not None
     failing = next(c for c in verdict.per_context if not c.matches)
-    assert not dist_eq(failing.left, failing.right)
+    assert failing.left != failing.right
 
 
 def test_non_confluent_plug_surfaces():
