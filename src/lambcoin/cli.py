@@ -1,15 +1,17 @@
 """Command-line front end with canonical, diff-stable output.
 
-Input arguments are a file path if one exists with that name, `-` for
-standard input, and an inline term (or distribution) otherwise.
+Input arguments are `-` for standard input, a file path if one exists with
+that name, and an inline term (or distribution) otherwise. A name that both
+names a file and reads as inline input is refused as ambiguous; `./name`
+reads the file.
 
 Each command returns its exit code and one record, the dict that
 `--format structured` prints as JSON; `--format human` renders the same
 record as lines. Exit codes: 0 success / confluent / equivalent, 1 negative
-verdict or type error, 2 usage or parse error or an unreadable input path,
-3 fuel exhausted, 4 ambiguous plugged term, 5 hypothesis of the
-computational-confluence check not met, 6 input nested too deeply for the
-recursive term walks. `ERRORS` maps each exception to its exit code.
+verdict or type error, 2 usage or parse error, an unreadable input path or
+an ambiguous input name, 3 fuel exhausted, 4 ambiguous plugged term, 5
+hypothesis of the computational-confluence check not met, 6 input nested too
+deeply for the recursive term walks. `ERRORS` maps each exception to its exit code.
 """
 
 from __future__ import annotations
@@ -42,9 +44,14 @@ EXIT_AMBIGUOUS_PLUG = 4
 EXIT_HYPOTHESIS = 5
 EXIT_TOO_DEEP = 6
 
+class AmbiguousInput(Exception):
+    """An argument names an existing file and also reads as inline input."""
+
+
 # (exception, stderr message, exit code); the first match wins, and
 # DivergenceError is a FuelExhausted.
 ERRORS = (
+    (AmbiguousInput, "ambiguous input: {}", EXIT_USAGE),
     (ParseError, "parse error: {}", EXIT_USAGE),
     (WeightError, "distribution error: {}", EXIT_USAGE),
     ((OSError, UnicodeDecodeError), "cannot read input: {}", EXIT_USAGE),
@@ -62,17 +69,27 @@ DEMO_TERMS = {
 }
 
 
-def read_source(arg: str) -> str:
+def read_input(arg: str, read):
+    """`read` applied to the text that `arg` stands for: standard input for
+    `-`, the file it names, or `arg` itself."""
     if arg == "-":
-        return sys.stdin.read()
-    if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as handle:
-            return handle.read()
-    return arg
+        return read(sys.stdin.read())
+    if not os.path.exists(arg):
+        return read(arg)
+    try:
+        read(arg)
+    except (ParseError, WeightError):
+        pass
+    else:
+        raise AmbiguousInput(f"{arg!r} names a file and is also inline input; "
+                             f"write ./{arg} to read the file")
+    with open(arg, encoding="utf-8") as handle:
+        return read(handle.read())
 
 
 def parse_term_arg(args) -> Term:
-    return parse(read_source(args.input), CalculusVariant(args.calculus))
+    variant = CalculusVariant(args.calculus)
+    return read_input(args.input, lambda text: parse(text, variant))
 
 
 def _formatted(dists) -> list[str]:
@@ -150,8 +167,8 @@ def cmd_confluence(args) -> tuple[int, dict]:
 
 
 def cmd_equiv(args) -> tuple[int, dict]:
-    left = parse_distribution(read_source(args.left))
-    right = parse_distribution(read_source(args.right))
+    left = read_input(args.left, parse_distribution)
+    right = read_input(args.right, parse_distribution)
     ty = parse_type(args.type)
     verdict = comp_equiv(left, right, ty, args.size_bound, args.fuel,
                          args.single_path)
@@ -170,7 +187,7 @@ def cmd_equiv(args) -> tuple[int, dict]:
 
 
 def cmd_computational_confluence(args) -> tuple[int, dict]:
-    term = parse(read_source(args.input))
+    term = read_input(args.input, parse)
     report = check_computational_confluence(term, args.size_bound, args.fuel,
                                             args.single_path)
     return _verdict(report.equivalent), {
@@ -290,7 +307,7 @@ def build_parser(default_fuel: int) -> argparse.ArgumentParser:
             p.add_argument(flag, **shared[flag])
         p.add_argument("--format", choices=["human", "structured"],
                        default="human")
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         return p
 
     p = command("typecheck", cmd_typecheck, "check a term under a discipline",
@@ -338,7 +355,9 @@ def main(argv: list[str] | None = None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"lambcoin: error: LAMBCOIN_FUEL: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    args = build_parser(default_fuel).parse_args(argv)
+    args, unknown = build_parser(default_fuel).parse_known_args(argv)
+    if unknown:  # report them with the usage of the command that refused them
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         code, record = args.run(args)
     except Exception as exc:

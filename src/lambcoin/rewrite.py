@@ -116,7 +116,7 @@ def redexes(t: Term) -> list[Position]:
     """All redex positions in deterministic pre-order (leftmost-outermost first).
 
     The set of positions is the same in both calculus variants; only the
-    coin's outcome differs.
+    coin's outcome differs. Normal subterms hold no redex and are skipped.
     """
     found: list[Position] = []
 
@@ -124,19 +124,17 @@ def redexes(t: Term) -> list[Position]:
         if _is_redex_head(u):
             found.append(pos)
         for name, child in children(u):
-            walk(child, pos + (name,))
+            if not child._normal:
+                walk(child, pos + (name,))
 
-    walk(t, ())
+    if not t._normal:
+        walk(t, ())
     return found
 
 
 def is_normal(t: Term) -> bool:
-    def walk(u: Term) -> bool:
-        if _is_redex_head(u):
-            return False
-        return all(walk(child) for _, child in children(u))
-
-    return walk(t)
+    """Whether `t` holds no redex; each node stores this when it is built."""
+    return t._normal
 
 
 def step_at(t: Term, pos: Position,
@@ -167,24 +165,22 @@ def select_redex(t: Term, strategy: Strategy) -> Position | None:
     leftmost-innermost one. Both are strong: they reduce under binders and
     inside both branches of a conditional, so their normal forms coincide
     with the rewrite system's.
+
+    A subterm that is not normal holds a redex, so both descend into the
+    leftmost child that is not normal and never backtrack. Call-by-name
+    stops at the first redex head on the way; call-by-value goes on until
+    every child is normal.
     """
-    if strategy is Strategy.CALL_BY_NAME:
-        def pre(u: Term, pos: Position) -> Position | None:
-            if _is_redex_head(u):
-                return pos
-            for name, child in children(u):
-                hit = pre(child, pos + (name,))
-                if hit is not None:
-                    return hit
-            return None
-
-        return pre(t, ())
-
-    def post(u: Term, pos: Position) -> Position | None:
-        for name, child in children(u):
-            hit = post(child, pos + (name,))
-            if hit is not None:
-                return hit
-        return pos if _is_redex_head(u) else None
-
-    return post(t, ())
+    if t._normal:
+        return None
+    by_name = strategy is Strategy.CALL_BY_NAME
+    pos: Position = ()
+    while not (by_name and _is_redex_head(t)):
+        for name, child in children(t):
+            if not child._normal:
+                t = child
+                pos += (name,)
+                break
+        else:
+            return pos
+    return pos

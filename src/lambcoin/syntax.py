@@ -119,19 +119,25 @@ def parse_type(text: str) -> Type:
 # ---------------------------------------------------------------------------
 # Terms
 
-# Each compound node computes its hash once, when it is built, from its
-# compared fields and its children's stored hashes, so hashing a term never
-# recurses (Filliatre & Conchon, "Type-Safe Modular Hash-Consing", 2006).
-# The hash lives in `_hash`, which is neither an init field nor compared.
-# Every tag and constant hash is a fixed int, unlike a salted `hash("...")`,
-# so a term without free names hashes the same in every process.
+# Each compound node computes two facts once, when it is built, from its
+# compared fields and its children's stored facts, so reading them never
+# recurses (Filliatre & Conchon, "Type-Safe Modular Hash-Consing", 2006):
+# - `_hash`, its hash. Every tag and constant hash is a fixed int, unlike a
+#   salted `hash("...")`, so a term without free names hashes the same in
+#   every process.
+# - `_normal`, whether it holds no redex: its children are normal and it is
+#   not itself a redex head. `App(Lam, _)`, `If(0|1, _, _)` and `Coin` are
+#   redex heads; a choice `Oplus` is not.
+# Neither is an init field or compared. Variables and constants are normal
+# and keep `_normal` at class level.
 
 def _stored_hash(self) -> int:
     return self._hash
 
 
-def _set_hash(node: Term, *key: object) -> None:
+def _set_facts(node: Term, normal: bool, *key: object) -> None:
     object.__setattr__(node, "_hash", hash(key))
+    object.__setattr__(node, "_normal", normal)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,12 +147,13 @@ class Var:
     index: int
     hint: str | None = field(default=None, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    _normal = True
     __hash__ = _stored_hash
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("negative de Bruijn index")
-        _set_hash(self, 1, self.index)
+        object.__setattr__(self, "_hash", hash((1, self.index)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,10 +162,11 @@ class FreeVar:
 
     name: str
     _hash: int = field(init=False, repr=False, compare=False)
+    _normal = True
     __hash__ = _stored_hash
 
     def __post_init__(self) -> None:
-        _set_hash(self, 2, self.name)
+        object.__setattr__(self, "_hash", hash((2, self.name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,10 +174,11 @@ class Lam:
     body: Term
     hint: str | None = field(default=None, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    _normal: bool = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
 
     def __post_init__(self) -> None:
-        _set_hash(self, 3, self.body._hash)
+        _set_facts(self, self.body._normal, 3, self.body._hash)
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,10 +186,13 @@ class App:
     fun: Term
     arg: Term
     _hash: int = field(init=False, repr=False, compare=False)
+    _normal: bool = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
 
     def __post_init__(self) -> None:
-        _set_hash(self, 4, self.fun._hash, self.arg._hash)
+        fun, arg = self.fun, self.arg
+        _set_facts(self, fun._normal and arg._normal and type(fun) is not Lam,
+                   4, fun._hash, arg._hash)
 
 
 # The field-less constants keep a class-level `_hash`: the generated hash
@@ -190,12 +202,14 @@ class App:
 @dataclass(frozen=True, slots=True)
 class Zero:
     _hash = 0x5A3E0001
+    _normal = True
     __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, slots=True)
 class One:
     _hash = 0x5A3E0002
+    _normal = True
     __hash__ = _stored_hash
 
 
@@ -205,15 +219,20 @@ class If:
     then: Term
     orelse: Term
     _hash: int = field(init=False, repr=False, compare=False)
+    _normal: bool = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
 
     def __post_init__(self) -> None:
-        _set_hash(self, 5, self.cond._hash, self.then._hash, self.orelse._hash)
+        cond, then, orelse = self.cond, self.then, self.orelse
+        normal = (cond._normal and then._normal and orelse._normal
+                  and type(cond) is not Zero and type(cond) is not One)
+        _set_facts(self, normal, 5, cond._hash, then._hash, orelse._hash)
 
 
 @dataclass(frozen=True, slots=True)
 class Coin:
     _hash = 0x5A3E0003
+    _normal = False
     __hash__ = _stored_hash
 
 
@@ -225,12 +244,15 @@ class Oplus:
     left: Term
     right: Term
     _hash: int = field(init=False, repr=False, compare=False)
+    _normal: bool = field(init=False, repr=False, compare=False)
     __hash__ = _stored_hash
 
     def __post_init__(self) -> None:
         if not (0 < self.prob < 1):
             raise ValueError(f"choice probability must be in (0, 1): {self.prob}")
-        _set_hash(self, 6, self.prob, self.left._hash, self.right._hash)
+        left, right = self.left, self.right
+        _set_facts(self, left._normal and right._normal,
+                   6, self.prob, left._hash, right._hash)
 
 
 Term = Var | FreeVar | Lam | App | Zero | One | If | Coin | Oplus

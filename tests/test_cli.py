@@ -260,8 +260,14 @@ def test_deep_parentheses_exit_six(tmp_path: Path):
 
 
 def test_long_identity_chain_exit_six(tmp_path: Path):
+    # Normality is stored on each node, so a 600-identity chain reduces; a
+    # far longer one still meets the recursive walks (pretty, replace_at).
     path = tmp_path / "chain.term"
     path.write_text("(\\x.x) " * 600 + "0\n")
+    result = run("reduce", "--strategy", "cbn", str(path))
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[-1] == "{ 1: 0 }"
+    path.write_text("(\\x.x) " * 5000 + "0\n")
     result = run("reduce", "--strategy", "cbn", str(path))
     assert result.returncode == 6
     assert "nested too deeply" in result.stderr
@@ -299,9 +305,25 @@ def test_empty_goal_type_is_a_parse_error():
     ("infer", "--fuel", "10", "0"),
     ("equiv", "--calculus", "internal", "{ 1: 0 }", "{ 1: 0 }", "--type", "B"),
     ("computational-confluence", "--calculus", "internal", "coin"),
+    ("typecheck", "--fuel", "3", "0"),
 ])
 def test_flags_a_command_would_ignore_are_rejected(argv):
-    assert run(*argv).returncode == 2
+    result = run(*argv)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"usage: lambcoin {argv[0]} ")
+    assert "unrecognized arguments: --" in result.stderr
+
+
+def test_a_name_that_is_a_file_and_a_term_is_ambiguous(tmp_path: Path,
+                                                       monkeypatch):
+    (tmp_path / "coin").write_text("0\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(["explore", "coin"])
+    assert code == 2
+    assert out == ""
+    assert "'coin' names a file and is also inline input" in err
+    assert "./coin" in err
+    assert run_main(["explore", "./coin"]) == (0, "{ 1: 0 }\n", "")
 
 
 def run_main(argv):
