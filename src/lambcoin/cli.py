@@ -11,7 +11,8 @@ record as lines. Exit codes: 0 success / confluent / equivalent, 1 negative
 verdict or type error, 2 usage or parse error, an unreadable input path or
 an ambiguous input name, 3 fuel exhausted, 4 ambiguous plugged term, 5
 hypothesis of the computational-confluence check not met, 6 input nested too
-deeply for the recursive term walks. `ERRORS` maps each exception to its exit code.
+deeply, or a reduction path too long, for the recursive walks. `ERRORS` maps
+each exception to its exit code.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ ERRORS = (
     (NotSubAffineTyped, "hypothesis not met: {}", EXIT_HYPOTHESIS),
     (FuelExhausted, "fuel exhausted: {}", EXIT_FUEL),
     (TypingError, "type error: {}", EXIT_NEGATIVE),
-    (RecursionError, "error: input nested too deeply", EXIT_TOO_DEEP),
+    (RecursionError, "error: input nested too deeply, or a reduction path too "
+                     "long, for the recursive walks", EXIT_TOO_DEEP),
 )
 
 DEMO_TERMS = {

@@ -7,6 +7,18 @@ other term yields, for every redex position, every convex combination
 obtained by independently picking one final distribution for each outcome
 of that step. Memoization keys the recursion on the (alpha-canonical) term.
 
+Not every redex needs a branch (a persistent-set reduction: Godefroid,
+"Partial-Order Methods for the Verification of Concurrent Systems", LNCS
+1032, 1996). Firing a coin commutes with every other step except a beta
+that copies or erases it and a conditional that drops the branch holding
+it. At a term holding a coin that no other redex can ever erase or
+duplicate (`rewrite.independent_coin`), the explorer fires only the leftmost
+such coin. Such a coin keeps exactly one residual under every other step.
+A normal form holds no coin, so every terminating strategy fires it
+somewhere, and can fire it first and reach the same distribution. The set
+of reachable distributions is therefore unchanged; only the nodes visited
+fall, from 3^n - 2^n to 2^n - 1 for `\\y. y coin ... coin` with n coins.
+
 Reduction cycles (possible only for untypable input) contribute no
 normal-form distributions; if nothing terminating remains, the exploration
 reports divergence. A fuel bound on visited nodes guards the search.
@@ -23,7 +35,10 @@ import itertools
 from dataclasses import dataclass
 
 from .distribution import Distribution, combine, dirac, format_distribution, lift_step
-from .rewrite import Position, Strategy, is_normal, redexes, select_redex, step_at
+from .rewrite import (
+    Position, Strategy, independent_coin, is_normal, redexes, select_redex,
+    step_at,
+)
 from .syntax import (
     App, CalculusVariant, Coin, If, Lam, One, Oplus, Term, Zero, instantiate,
 )
@@ -125,7 +140,8 @@ class Explorer:
         on_stack = on_stack | {t}
         results: set[Distribution] = set()
         cyclic = False
-        for pos in redexes(t):
+        coin = independent_coin(t)
+        for pos in redexes(t) if coin is None else (coin,):
             outcome = step_at(t, pos, self.variant)
             continuations = []
             for _, r in outcome.outcomes:

@@ -13,12 +13,13 @@ from enum import Enum
 from fractions import Fraction
 
 from .syntax import (
-    App, CalculusVariant, Coin, If, Lam, ONE, One, Oplus, Term, ZERO, Zero,
-    instantiate,
+    App, CalculusVariant, Coin, FreeVar, If, Lam, ONE, One, Oplus, Term, Var,
+    ZERO, Zero, instantiate,
 )
 
 Position = tuple[str, ...]
 
+CERTAIN = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -45,6 +46,13 @@ class StepOutcome:
         if sum(p for p, _ in self.outcomes) != 1:
             raise ValueError("outcome probabilities must sum to 1")
 
+    @classmethod
+    def _trusted(cls, outcomes: tuple[tuple[Fraction, Term], ...]) -> StepOutcome:
+        """The outcome `outcomes`, which the caller knows to be valid."""
+        o = object.__new__(cls)
+        object.__setattr__(o, "outcomes", outcomes)
+        return o
+
 
 def format_position(pos: Position) -> str:
     return ".".join(pos) if pos else "root"
@@ -65,39 +73,47 @@ def children(t: Term) -> tuple[tuple[str, Term], ...]:
             return ()
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
+# Each child selector: the node field it reads, and how to rebuild the node
+# around a new child.
+_SELECTORS = {
+    "body": ("body", lambda n, c: Lam(c, n.hint)),
+    "fun": ("fun", lambda n, c: App(c, n.arg)),
+    "arg": ("arg", lambda n, c: App(n.fun, c)),
+    "cond": ("cond", lambda n, c: If(c, n.then, n.orelse)),
+    "then": ("then", lambda n, c: If(n.cond, c, n.orelse)),
+    "else": ("orelse", lambda n, c: If(n.cond, n.then, c)),
+    "oplus-left": ("left", lambda n, c: Oplus(n.prob, c, n.right)),
+    "oplus-right": ("right", lambda n, c: Oplus(n.prob, n.left, c)),
+}
+
+
+def _descend(t: Term, pos: Position) -> tuple[list, Term]:
+    """The subterm at `pos` and its ancestors, root first, each paired with
+    the function that rebuilds it around a new child."""
+    ancestors = []
     for selector in pos:
-        for name, child in children(t):
-            if name == selector:
-                t = child
-                break
-        else:
+        field, rebuild = _SELECTORS.get(selector, ("", None))
+        child = getattr(t, field, None)
+        if child is None:
             raise NotARedex(f"no subterm at {format_position(pos)}")
-    return t
+        ancestors.append((t, rebuild))
+        t = child
+    return ancestors, t
+
+
+def _rebuild(ancestors: list, new: Term) -> Term:
+    """The root of `ancestors` with `new` in place of the subterm below them."""
+    for node, rebuild in reversed(ancestors):
+        new = rebuild(node, new)
+    return new
+
+
+def subterm_at(t: Term, pos: Position) -> Term:
+    return _descend(t, pos)[1]
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    selector, rest = pos[0], pos[1:]
-    match t, selector:
-        case Lam(body, hint), "body":
-            return Lam(replace_at(body, rest, new), hint)
-        case App(fun, arg), "fun":
-            return App(replace_at(fun, rest, new), arg)
-        case App(fun, arg), "arg":
-            return App(fun, replace_at(arg, rest, new))
-        case If(cond, then, orelse), "cond":
-            return If(replace_at(cond, rest, new), then, orelse)
-        case If(cond, then, orelse), "then":
-            return If(cond, replace_at(then, rest, new), orelse)
-        case If(cond, then, orelse), "else":
-            return If(cond, then, replace_at(orelse, rest, new))
-        case Oplus(p, left, right), "oplus-left":
-            return Oplus(p, replace_at(left, rest, new), right)
-        case Oplus(p, left, right), "oplus-right":
-            return Oplus(p, left, replace_at(right, rest, new))
-    raise NotARedex(f"no subterm at {format_position(pos)}")
+    return _rebuild(_descend(t, pos)[0], new)
 
 
 def _is_redex_head(t: Term) -> bool:
@@ -132,6 +148,56 @@ def redexes(t: Term) -> list[Position]:
     return found
 
 
+def independent_coin(t: Term) -> Position | None:
+    """The leftmost coin of `t` that no other redex can erase or duplicate,
+    or None.
+
+    A coin qualifies when every `App` whose argument holds it, and every
+    `If` whose branch holds it, has a rigid spine head (of the function, of
+    the condition): a free name, or a variable bound by the leading lambdas
+    of `t`, which no reduction can substitute. Such an application never
+    becomes a beta redex and such a conditional never chooses a branch, so
+    the coin keeps exactly one residual until it is fired. Lambda bodies,
+    functions, conditions and choice sides never copy or drop a coin.
+    Normal subterms hold no coin and are skipped.
+    """
+    prefix = 0  # the number of leading lambdas
+    u = t
+    while type(u) is Lam:
+        prefix += 1
+        u = u.body
+
+    def rigid(head: Term, depth: int) -> bool:
+        while type(head) is App:
+            head = head.fun
+        return type(head) is FreeVar or (
+            type(head) is Var and head.index >= depth - prefix)
+
+    stack: list[tuple[Term, int, Position]] = [(t, 0, ())]  # lambdas above
+    while stack:
+        u, depth, pos = stack.pop()
+        if u._normal:
+            continue
+        kind = type(u)
+        if kind is Coin:
+            return pos
+        if kind is Lam:
+            stack.append((u.body, depth + 1, pos + ("body",)))
+        elif kind is App:
+            if rigid(u.fun, depth):
+                stack.append((u.arg, depth, pos + ("arg",)))
+            stack.append((u.fun, depth, pos + ("fun",)))
+        elif kind is If:
+            if rigid(u.cond, depth):
+                stack.append((u.orelse, depth, pos + ("else",)))
+                stack.append((u.then, depth, pos + ("then",)))
+            stack.append((u.cond, depth, pos + ("cond",)))
+        elif kind is Oplus:
+            stack.append((u.right, depth, pos + ("oplus-right",)))
+            stack.append((u.left, depth, pos + ("oplus-left",)))
+    return None
+
+
 def is_normal(t: Term) -> bool:
     """Whether `t` holds no redex; each node stores this when it is built."""
     return t._normal
@@ -140,22 +206,23 @@ def is_normal(t: Term) -> bool:
 def step_at(t: Term, pos: Position,
             variant: CalculusVariant = CalculusVariant.PLAIN) -> StepOutcome:
     """Fire the redex at `pos` and embed each outcome back into `t`."""
-    redex = subterm_at(t, pos)
+    ancestors, redex = _descend(t, pos)
     match redex:
         case App(Lam(body), arg):
-            results = ((Fraction(1), instantiate(body, arg)),)
+            results = ((CERTAIN, instantiate(body, arg)),)
         case If(One(), then, _):
-            results = ((Fraction(1), then),)
+            results = ((CERTAIN, then),)
         case If(Zero(), _, orelse):
-            results = ((Fraction(1), orelse),)
+            results = ((CERTAIN, orelse),)
         case Coin():
             if variant is CalculusVariant.INTERNALIZED:
-                results = ((Fraction(1), Oplus(HALF, ZERO, ONE)),)
+                results = ((CERTAIN, Oplus(HALF, ZERO, ONE)),)
             else:
                 results = ((HALF, ONE), (HALF, ZERO))
         case _:
             raise NotARedex(f"no redex at {format_position(pos)}")
-    return StepOutcome(tuple((p, replace_at(t, pos, r)) for p, r in results))
+    return StepOutcome._trusted(
+        tuple((p, _rebuild(ancestors, r)) for p, r in results))
 
 
 def select_redex(t: Term, strategy: Strategy) -> Position | None:

@@ -261,7 +261,7 @@ def test_deep_parentheses_exit_six(tmp_path: Path):
 
 def test_long_identity_chain_exit_six(tmp_path: Path):
     # Normality is stored on each node, so a 600-identity chain reduces; a
-    # far longer one still meets the recursive walks (pretty, replace_at).
+    # far longer one still meets the recursive walks (pretty, free_vars).
     path = tmp_path / "chain.term"
     path.write_text("(\\x.x) " * 600 + "0\n")
     result = run("reduce", "--strategy", "cbn", str(path))
@@ -271,6 +271,16 @@ def test_long_identity_chain_exit_six(tmp_path: Path):
     result = run("reduce", "--strategy", "cbn", str(path))
     assert result.returncode == 6
     assert "nested too deeply" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_a_long_reduction_path_exit_six():
+    # the argument grows at every step and the explorer recurses once per
+    # step, so the recursion limit comes long before the default fuel
+    result = run("explore", "(\\x. 0) ((\\x. x x x)(\\x. x x x))")
+    assert result.returncode == 6
+    assert result.stderr == ("error: input nested too deeply, or a reduction "
+                             "path too long, for the recursive walks\n")
     assert "Traceback" not in result.stderr
 
 
