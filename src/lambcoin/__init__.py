@@ -21,8 +21,7 @@ from .typecheck import (
 )
 from .rewrite import (
     NotARedex, Position, StepOutcome, Strategy, children, format_position,
-    independent_coin, is_normal, redexes, replace_at, select_redex, step_at,
-    subterm_at,
+    is_normal, redexes, replace_at, select_redex, step_at, subterm_at,
 )
 from .distribution import (
     Distribution, InvalidChoice, WeightError, combine, dirac,

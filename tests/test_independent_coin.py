@@ -13,8 +13,9 @@ import pytest
 import lambcoin.explore
 from lambcoin import (
     CalculusVariant, Discipline, DivergenceError, Explorer, FuelExhausted,
-    independent_coin, parse, subterm_at,
+    parse, subterm_at,
 )
+from lambcoin.rewrite import independent_coin
 
 from genterms import closed_typed, random_term
 
